@@ -414,9 +414,6 @@ def take_rows(a, indices) -> Tensor:
     return _result(data, bw, a)
 
 
-embedding = take_rows
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------

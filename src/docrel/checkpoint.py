@@ -74,6 +74,13 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str, meta:
 
 def load_checkpoint(path) -> Checkpoint:
     blob = Path(path).read_bytes()
+    try:
+        return _parse_checkpoint(blob, path)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from e
+
+
+def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
     view = memoryview(blob)
     pos = 0
 

@@ -53,9 +53,9 @@ def _load_config(args) -> TrainingConfig:
         config = TrainingConfig.from_file(args.config)
     else:
         config = TrainingConfig()
-    for key in ("seed", "epochs", "topk", "threads"):
+    for key in ("seed", "epochs", "topk"):
         value = getattr(args, key, None)
-        if value is not None and key != "threads":
+        if value is not None:
             setattr(config, key, value)
     if getattr(args, "reasoning_pool", None):
         config.reasoning_pool = args.reasoning_pool
@@ -126,9 +126,7 @@ def _cmd_eval(args) -> int:
         docs = load_docred(args.data, vocab=vocab)
         overlap = args.allow_overlap or model.config.allow_overlap
         features = [prepare_document(d, vocab, overlap) for d in docs]
-        preds = predict_documents(model, features,
-                                  threshold=float(meta.get("threshold", 0.5)),
-                                  threads=args.threads)
+        preds = predict_documents(model, features, threshold=float(meta.get("threshold", 0.5)))
     train_names = train_fact_names(load_docred(args.train, vocab=vocab)) if args.train else set()
     report = compute_f1_suite(preds, docs, train_names=train_names)
     text = report.render()
@@ -147,9 +145,7 @@ def _cmd_predict(args) -> int:
     docs = load_docred(args.data, vocab=vocab)
     overlap = args.allow_overlap or model.config.allow_overlap
     features = [prepare_document(d, vocab, overlap) for d in docs]
-    preds = predict_documents(model, features,
-                              threshold=float(meta.get("threshold", 0.5)),
-                              threads=args.threads)
+    preds = predict_documents(model, features, threshold=float(meta.get("threshold", 0.5)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.json", preds, vocab)
@@ -232,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory or file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for read-only inference")
         p.add_argument("--allow-overlap", choices=("reject", "first-wins"),
                        dest="allow_overlap",
                        help="how to featurize overlapping mentions of distinct entities")

@@ -158,7 +158,7 @@ def validate_document(doc: Document) -> None:
 
 def _record_to_document(record: dict, index: int, rel_ids: dict[str, int]) -> Document:
     try:
-        title = record["title"]
+        title = str(record["title"])
         sents = [[str(tok) for tok in sent] for sent in record["sents"]]
         entities = []
         for eid, mention_list in enumerate(record["vertexSet"]):
@@ -183,7 +183,7 @@ def _record_to_document(record: dict, index: int, rel_ids: dict[str, int]) -> Do
                 label=label,
                 evidence=[int(s) for s in lab.get("evidence", [])],
             ))
-    except (KeyError, TypeError, IndexError) as e:
+    except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ParseError(f"document {index}: malformed record ({e!r})") from e
     doc = Document(title=title, sentences=sents, entities=entities, facts=facts)
     validate_document(doc)
@@ -221,10 +221,16 @@ def load_docred(path, vocab: Vocabulary | None = None) -> list[Document]:
         rel_ids = {label: i for i, label in enumerate(labels)}
 
     docs = []
+    titles = set()
     for i, record in enumerate(data):
         if not isinstance(record, dict):
             raise ParseError(f"document {i}: expected an object")
-        docs.append(_record_to_document(record, i, rel_ids))
+        doc = _record_to_document(record, i, rel_ids)
+        # evaluation keys gold facts and predictions by title
+        if doc.title in titles:
+            raise ValidationError(f"document {i}: duplicate title {doc.title!r}")
+        titles.add(doc.title)
+        docs.append(doc)
     return docs
 
 

@@ -73,9 +73,9 @@ def embed_tokens(feats: np.ndarray, layers: EmbeddingLayers) -> Tensor:
         if feats[:, col].size and (feats[:, col].min() < 0 or feats[:, col].max() >= hi):
             raise NotFoundError(f"embed_tokens: {name} id out of range [0, {hi})")
     return ad.concat([
-        ad.embedding(layers.word.tensor, feats[:, 0]),
-        ad.embedding(layers.etype.tensor, feats[:, 1]),
-        ad.embedding(layers.coref.tensor, feats[:, 2]),
+        ad.take_rows(layers.word.tensor, feats[:, 0]),
+        ad.take_rows(layers.etype.tensor, feats[:, 1]),
+        ad.take_rows(layers.coref.tensor, feats[:, 2]),
     ], axis=-1)
 
 

@@ -34,10 +34,15 @@ class CheckpointError(DocrelError):
 
 
 class TrainingDiverged(DocrelError):
-    """Training hit a non-finite loss; carries diagnostics."""
+    """Training hit a non-finite loss or gradient; carries diagnostics.
 
-    def __init__(self, message, epoch=None, batch=None, max_abs_grad=None):
+    `parameter` names the first parameter with a non-finite gradient and
+    `max_abs_grad` is the largest finite |gradient|; a non-finite loss sets neither.
+    """
+
+    def __init__(self, message, epoch=None, batch=None, max_abs_grad=None, parameter=None):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
         self.max_abs_grad = max_abs_grad
+        self.parameter = parameter

@@ -183,12 +183,10 @@ def compute_f1_suite(preds: PredictionSet, docs: list[Document],
 
 def write_predictions(path, preds: PredictionSet, vocab: Vocabulary) -> None:
     id2label = {rid: label for label, rid in vocab.rel2id.items()}
-    decided = preds.decided()
-    by_score = {(r.title, r.head, r.tail, r.relation): r.score for r in preds.records}
+    score_of = {r[:4]: r.score for r in preds.decided_records()}
     rows = [
-        {"title": title, "h_idx": h, "t_idx": t, "r": id2label[r],
-         "score": by_score[(title, h, t, r)]}
-        for (title, h, t, r) in sorted(decided)
+        {"title": title, "h_idx": h, "t_idx": t, "r": id2label[r], "score": score}
+        for (title, h, t, r), score in sorted(score_of.items())
     ]
     Path(path).write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -209,6 +207,6 @@ def read_predictions(path, vocab: Vocabulary) -> PredictionSet:
             records.append(PredRecord(
                 title=str(row["title"]), head=int(row["h_idx"]), tail=int(row["t_idx"]),
                 relation=vocab.rel2id[label], score=float(row.get("score", 1.0))))
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{path}: record {i}: malformed ({e!r})") from e
-    return PredictionSet(records=records, threshold=None)
+    return PredictionSet.from_records(records, threshold=None)

@@ -77,9 +77,15 @@ class AdamW:
         for p in self.params:
             p.zero_grad()
 
-    def max_abs_grad(self) -> float:
-        worst = 0.0
+    def first_non_finite_grad(self) -> str | None:
+        """Name of the first parameter whose gradient holds a NaN or an infinity."""
         for p in self.params:
-            if p.grad is not None and p.grad.size:
-                worst = max(worst, float(np.abs(p.grad).max()))
-        return worst
+            g = p.grad
+            if g is not None and g.size and not (np.isfinite(g.max()) and np.isfinite(g.min())):
+                return p.name
+        return None
+
+    def max_abs_grad(self) -> float:
+        """Largest finite |gradient| entry over all parameters."""
+        finite = [np.abs(p.grad[np.isfinite(p.grad)]) for p in self.params if p.grad is not None]
+        return max((float(a.max()) for a in finite if a.size), default=0.0)

@@ -25,18 +25,13 @@ def chain_candidates(pairs: list[EntityPair], mode: str = "chains") -> list[np.n
     """
     if mode not in POOL_MODES:
         raise ConfigError(f"reasoning pool mode must be one of {POOL_MODES}: {mode!r}")
-    out = []
-    for i, p in enumerate(pairs):
-        if mode == "all":
-            cand = [j for j in range(len(pairs)) if j != i]
-        else:
-            cand = [
-                j for j, q in enumerate(pairs)
-                if j != i and ((q.head == p.head and q.tail != p.tail)
-                               or (q.tail == p.tail and q.head != p.head))
-            ]
-        out.append(np.asarray(cand, dtype=np.int64))
-    return out
+    if mode == "all":
+        mask = ~np.eye(len(pairs), dtype=bool)
+    else:
+        heads = np.array([p.head for p in pairs])
+        tails = np.array([p.tail for p in pairs])
+        mask = (heads[:, None] == heads) ^ (tails[:, None] == tails)
+    return [row.nonzero()[0] for row in mask]
 
 
 def reasoning_update(reps: Tensor, candidates: list[np.ndarray],

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from .model import DocFeatures, DropoutState, RelationModel, bce_loss, prepare_d
 from .optim import AdamW
 
 
-@dataclass(frozen=True)
-class PredRecord:
+class PredRecord(NamedTuple):
     title: str
     head: int
     tail: int
@@ -25,21 +24,46 @@ class PredRecord:
     score: float
 
 
+_COLUMN_DTYPES = (object, np.int64, np.int64, np.int64, float)
+
+
 @dataclass
 class PredictionSet:
-    """Per (document, head, tail, relation) probabilities plus a decision rule.
+    """One row per scored (document, head, tail, relation), as parallel 1-D arrays.
 
-    `threshold=None` means the records were loaded as final decisions.
+    `threshold=None` means the rows were loaded as final decisions.
     """
 
-    records: list[PredRecord]
+    titles: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    relations: np.ndarray
+    scores: np.ndarray
     threshold: float | None = 0.5
 
+    @classmethod
+    def from_records(cls, rows, threshold: float | None = 0.5) -> PredictionSet:
+        """Build the arrays from (title, head, tail, relation, score) rows."""
+        columns = list(zip(*rows)) or [()] * len(_COLUMN_DTYPES)
+        return cls(*(np.array(c, dtype=d) for c, d in zip(columns, _COLUMN_DTYPES)),
+                   threshold=threshold)
+
+    @property
+    def records(self) -> list[PredRecord]:
+        """Every row, in row order; built on each access."""
+        return self._records(slice(None))
+
+    def decided_records(self) -> list[PredRecord]:
+        """The rows that clear the threshold, in row order."""
+        return self._records(slice(None) if self.threshold is None
+                             else self.scores >= self.threshold)
+
     def decided(self) -> set[tuple[str, int, int, int]]:
-        if self.threshold is None:
-            return {(r.title, r.head, r.tail, r.relation) for r in self.records}
-        return {(r.title, r.head, r.tail, r.relation)
-                for r in self.records if r.score >= self.threshold}
+        return {r[:4] for r in self.decided_records()}
+
+    def _records(self, keep) -> list[PredRecord]:
+        columns = (self.titles, self.heads, self.tails, self.relations, self.scores)
+        return list(map(PredRecord._make, zip(*(c[keep].tolist() for c in columns))))
 
 
 def calibrate_threshold(scores: np.ndarray, gold: np.ndarray,
@@ -57,56 +81,41 @@ def calibrate_threshold(scores: np.ndarray, gold: np.ndarray,
         return default
     order = np.argsort(-scores, kind="stable")
     s_sorted = scores[order]
-    g_sorted = gold[order]
-    tp = np.cumsum(g_sorted)
+    tp = np.cumsum(gold[order])
     pred = np.arange(1, scores.size + 1)
     total_gold = int(gold.sum())
     f1 = np.zeros(scores.size)
     denom = pred + total_gold
     np.divide(2.0 * tp, denom, out=f1, where=denom > 0)
-    # keep only positions where the threshold can actually sit (last of each tie run)
-    best_theta = float(s_sorted[0]) + 1.0  # predict nothing
-    best_f1 = 0.0
-    for i in range(scores.size):
-        if i + 1 < scores.size and s_sorted[i + 1] == s_sorted[i]:
-            continue
-        theta = float(s_sorted[i])
-        if f1[i] > best_f1 or (f1[i] == best_f1 and theta > best_theta):
-            best_f1 = float(f1[i])
-            best_theta = theta
-    return best_theta
+    # the threshold can only sit at the last position of each tie run; scores
+    # descend, so the first best position is the largest threshold
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    best = ends[np.argmax(f1[ends])]
+    if f1[best] <= 0.0:
+        return float(s_sorted[0]) + 1.0  # predict nothing
+    return float(s_sorted[best])
 
 
 def predict_documents(model: RelationModel, features: list[DocFeatures],
-                      threshold: float | None = None, threads: int = 1) -> PredictionSet:
-    """Score every ordered entity pair of every document (no sampling)."""
+                      threshold: float | None = None) -> PredictionSet:
+    """Score every ordered entity pair of every document (no sampling).
 
-    def run(feats: DocFeatures) -> list[PredRecord]:
+    Rows run document by document, pair by pair, relation by relation.
+    """
+
+    def rows(feats: DocFeatures) -> tuple[np.ndarray, ...]:
+        # the forward graph of a document is released before the next forward
         out = model.forward(feats)
-        probs = out.probs.data
-        recs = []
-        for i, p in enumerate(out.pairs):
-            for r in range(probs.shape[1]):
-                recs.append(PredRecord(feats.doc.title, p.head, p.tail, r, float(probs[i, r])))
-        return recs
+        n_pairs, n_rel = out.probs.shape
+        heads = np.array([p.head for p in out.pairs], dtype=np.int64)
+        tails = np.array([p.tail for p in out.pairs], dtype=np.int64)
+        return (np.full(n_pairs * n_rel, feats.doc.title, dtype=object),
+                np.repeat(heads, n_rel), np.repeat(tails, n_rel),
+                np.tile(np.arange(n_rel, dtype=np.int64), n_pairs), out.probs.data.ravel())
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, features))
-    else:
-        chunks = [run(f) for f in features]
-    records = [r for chunk in chunks for r in chunk]
-    return PredictionSet(records=records, threshold=threshold)
-
-
-def _micro_f1(preds: PredictionSet, gold: set[tuple[str, int, int, int]]) -> float:
-    decided = preds.decided()
-    tp = len(decided & gold)
-    if not decided or not gold or tp == 0:
-        return 0.0
-    p = tp / len(decided)
-    r = tp / len(gold)
-    return 2 * p * r / (p + r)
+    blocks = [tuple(np.empty(0, dtype=d) for d in _COLUMN_DTYPES)]
+    blocks += [rows(f) for f in features]
+    return PredictionSet(*map(np.concatenate, zip(*blocks)), threshold=threshold)
 
 
 def gold_instance_set(docs: list[Document]) -> set[tuple[str, int, int, int]]:
@@ -149,7 +158,6 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
     features = [prepare_document(d, vocab, config.allow_overlap) for d in train_docs]
     dev_features = [prepare_document(d, vocab, config.allow_overlap) for d in dev_docs] \
         if dev_docs else None
-    dev_gold = gold_instance_set(dev_docs) if dev_docs else None
 
     model = RelationModel(config, vocab)
     optimizer = AdamW(model.parameters(), lr=config.learning_rate,
@@ -157,14 +165,17 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
     result = TrainResult(model=model, vocab=vocab, threshold=config.threshold)
     result.best_state = model.state_arrays()
 
-    def evaluate_dev(epoch: int) -> tuple[float, float]:
-        preds = predict_documents(model, dev_features)
-        scores = np.array([r.score for r in preds.records])
-        flags = np.array([(r.title, r.head, r.tail, r.relation) in dev_gold
-                          for r in preds.records])
-        theta = calibrate_threshold(scores, flags, default=config.threshold, warn=log)
-        preds.threshold = theta
-        return _micro_f1(preds, dev_gold), theta
+    def evaluate_dev() -> tuple[float, float]:
+        """Micro F1 on the dev set at its own calibrated threshold, and that threshold."""
+        scores = predict_documents(model, dev_features).scores
+        gold = np.concatenate([model.gold_targets(f, f.pairs).ravel() for f in dev_features]) > 0
+        theta = calibrate_threshold(scores, gold, default=config.threshold, warn=log)
+        decided = scores >= theta
+        tp = int(gold[decided].sum())
+        if not tp:
+            return 0.0, theta
+        p, r = tp / int(decided.sum()), tp / int(gold.sum())
+        return 2 * p * r / (p + r), theta
 
     best_f1 = -1.0
     for epoch in range(1, config.epochs + 1):
@@ -178,7 +189,7 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
         order = shuffle_rng.permutation(len(features))
         epoch_loss = 0.0
         epoch_pairs = 0
-        for start in range(0, len(order), config.batch_size):
+        for batch_no, start in enumerate(range(0, len(order), config.batch_size)):
             batch = order[start:start + config.batch_size]
             dropout = DropoutState(config.dropout, drop_rng)
             with Tape():
@@ -193,17 +204,22 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
                     continue
                 value = float(loss.data)
                 if not np.isfinite(value):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}",
-                        epoch=epoch, batch=start // config.batch_size,
-                        max_abs_grad=optimizer.max_abs_grad())
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {batch_no}",
+                                           epoch=epoch, batch=batch_no)
                 backward(loss)
                 epoch_loss += value
+            # checked before the step, which would write the non-finite values into the weights
+            bad = optimizer.first_non_finite_grad()
+            if bad is not None:
+                raise TrainingDiverged(
+                    f"non-finite gradient of {bad} at epoch {epoch}, batch {batch_no}",
+                    epoch=epoch, batch=batch_no,
+                    max_abs_grad=optimizer.max_abs_grad(), parameter=bad)
             optimizer.step()
 
         stats = EpochStats(epoch=epoch, loss=epoch_loss, n_pairs=epoch_pairs)
         if dev_features and (epoch % config.eval_every == 0 or epoch == config.epochs):
-            f1, theta = evaluate_dev(epoch)
+            f1, theta = evaluate_dev()
             stats.dev_f1, stats.threshold = f1, theta
             if f1 > best_f1:
                 best_f1 = f1

@@ -125,8 +125,9 @@ def test_criterion_3_metric_oracle():
          Entity(2, "T", [Mention(1, 0, 1, "d")])],
         [RelationFact(0, 1, 0, "r", []), RelationFact(1, 2, 0, "r", []),
          RelationFact(0, 2, 1, "q", []), RelationFact(2, 1, 1, "q", [])])
-    preds = PredictionSet([PredRecord("w", 0, 1, 0, 0.9), PredRecord("w", 1, 2, 0, 0.9),
-                           PredRecord("w", 2, 0, 1, 0.9)], threshold=0.5)
+    preds = PredictionSet.from_records([PredRecord("w", 0, 1, 0, 0.9),
+                                        PredRecord("w", 1, 2, 0, 0.9),
+                                        PredRecord("w", 2, 0, 1, 0.9)], threshold=0.5)
     report = compute_f1_suite(preds, [doc])
     exact = (report.overall.precision == pytest.approx(2 / 3)
              and report.overall.recall == pytest.approx(1 / 2)
@@ -147,7 +148,7 @@ def test_criterion_3_metric_oracle():
                     records.append(PredRecord(d.title, p.head, p.tail, r, score))
                     if score >= 0.65:
                         decided.add((d.title, p.head, p.tail, r))
-        rep = compute_f1_suite(PredictionSet(records, threshold=0.65), docs,
+        rep = compute_f1_suite(PredictionSet.from_records(records, threshold=0.65), docs,
                                train_names=train_names)
         expected = brute_force_suite(decided, docs, train_names)
         got = {name: (s.tp, s.fp, s.fn) for name, s in

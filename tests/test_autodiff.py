@@ -70,7 +70,7 @@ def test_concat_and_stack_roundtrip():
 def test_embedding_out_of_range_raises():
     table = Tensor(np.ones((3, 2)))
     with pytest.raises(NotFoundError):
-        ad.embedding(table, [0, 3])
+        ad.take_rows(table, [0, 3])
 
 
 def test_dropout_mask_is_inverted():

@@ -1,6 +1,7 @@
 """End-to-end command-line flows in a temp directory, including exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -196,3 +197,68 @@ def test_epochs_zero_checkpoint_matches_eval_of_init(workspace):
     fresh = RelationModel(cfg, vocab)
     for name, arr in fresh.state_arrays().items():
         assert ckpt.arrays[name].tobytes() == arr.tobytes()
+
+
+def test_threads_flag_is_gone(workspace, trained):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--data", str(workspace / "dev.json"),
+              "--checkpoint", str(trained / "model.ckpt"),
+              "--out", str(workspace / "pred-threads"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_duplicate_titles_rejected(workspace, capsys):
+    doc = {"title": "twin", "sents": [["a", "b", "c"]],
+           "vertexSet": [[{"name": "a", "sent_id": 0, "pos": [0, 1], "type": "T"}],
+                         [{"name": "c", "sent_id": 0, "pos": [2, 3], "type": "T"}]],
+           "labels": [{"h": 0, "t": 1, "r": "r0", "evidence": [0]}]}
+    data = workspace / "twins.json"
+    data.write_text(json.dumps([doc, doc]), encoding="utf-8")
+    pred = workspace / "twins-pred.json"
+    pred.write_text("[]", encoding="utf-8")
+    code = main(["eval", "--data", str(data), "--pred", str(pred)])
+    assert code == EXIT_BAD_DATA
+    assert "twin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,byte", [("meta", b"x"), ("meta", b"\xff"),
+                                          ("config", b"\xff")])
+def test_corrupt_checkpoint_text_maps_to_checkpoint_error(workspace, trained, section, byte):
+    blob = bytearray((trained / "model.ckpt").read_bytes())
+    (config_len,) = struct.unpack("<I", blob[40:44])
+    offset = 44 if section == "config" else 44 + config_len + 4
+    blob[offset:offset + 1] = byte
+    bad = workspace / f"corrupt-{section}-{byte.hex()}.ckpt"
+    bad.write_bytes(bytes(blob))
+    code = main(["predict", "--data", str(workspace / "dev.json"),
+                 "--checkpoint", str(bad), "--out", str(workspace / "pred-corrupt")])
+    assert code == EXIT_CHECKPOINT_MISMATCH
+
+
+@pytest.mark.parametrize("field", ["pos", "sent_id", "h", "t", "evidence"])
+def test_non_integer_field_maps_to_bad_data(workspace, field):
+    docs = json.loads((workspace / "dev.json").read_text(encoding="utf-8"))
+    mention = docs[0]["vertexSet"][0][0]
+    label = docs[0]["labels"][0]
+    if field == "pos":
+        mention["pos"] = ["x", mention["pos"][1]]
+    elif field == "sent_id":
+        mention["sent_id"] = "x"
+    elif field == "evidence":
+        label["evidence"] = ["x"]
+    else:
+        label[field] = "x"
+    bad = workspace / f"non-int-{field}.json"
+    bad.write_text(json.dumps(docs), encoding="utf-8")
+    assert main(["graph-stats", "--data", str(bad)]) == EXIT_BAD_DATA
+
+
+def test_non_integer_prediction_index_maps_to_bad_data(workspace):
+    docs = json.loads((workspace / "dev.json").read_text(encoding="utf-8"))
+    row = {"title": docs[0]["title"], "h_idx": "x", "t_idx": 1,
+           "r": docs[0]["labels"][0]["r"], "score": 0.9}
+    pred = workspace / "non-int-pred.json"
+    pred.write_text(json.dumps([row]), encoding="utf-8")
+    code = main(["eval", "--data", str(workspace / "dev.json"), "--pred", str(pred),
+                 "--train", str(workspace / "train.json")])
+    assert code == EXIT_BAD_DATA

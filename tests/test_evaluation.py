@@ -24,8 +24,8 @@ def two_sentence_doc(title="doc"):
 
 
 def preds_from(triples, threshold=0.5, score=0.9):
-    return PredictionSet([PredRecord(t, h, tl, r, score) for (t, h, tl, r) in triples],
-                         threshold=threshold)
+    return PredictionSet.from_records(
+        [PredRecord(t, h, tl, r, score) for (t, h, tl, r) in triples], threshold=threshold)
 
 
 def test_worked_example_two_thirds_half():
@@ -187,7 +187,7 @@ def test_suite_matches_independent_scorer_on_random_fixtures():
                     records.append(PredRecord(d.title, p.head, p.tail, r, score))
                     if score >= 0.7:
                         decided.add((d.title, p.head, p.tail, r))
-        preds = PredictionSet(records, threshold=0.7)
+        preds = PredictionSet.from_records(records, threshold=0.7)
         report = compute_f1_suite(preds, docs, train_names=train_names)
         expected = brute_force_suite(decided, docs, train_names)
         got = {
@@ -212,7 +212,7 @@ def test_report_renders_and_serializes():
 def test_prediction_file_roundtrip(tmp_path):
     doc = two_sentence_doc()
     vocab = build_vocabulary([doc])
-    preds = PredictionSet([
+    preds = PredictionSet.from_records([
         PredRecord("doc", 0, 1, vocab.rel2id["r0"], 0.75),
         PredRecord("doc", 0, 2, vocab.rel2id["r1"], 0.25),
     ], threshold=0.5)

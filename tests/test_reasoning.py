@@ -18,6 +18,37 @@ def pairs_over(n):
     return out
 
 
+def per_pair_candidates(pairs, mode):
+    """Pool of each pair by a comprehension over all other pairs."""
+    out = []
+    for i, p in enumerate(pairs):
+        if mode == "all":
+            cand = [j for j in range(len(pairs)) if j != i]
+        else:
+            cand = [
+                j for j, q in enumerate(pairs)
+                if j != i and ((q.head == p.head and q.tail != p.tail)
+                               or (q.tail == p.tail and q.head != p.head))
+            ]
+        out.append(np.asarray(cand, dtype=np.int64))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["chains", "all"])
+def test_candidates_match_per_pair_oracle(mode):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 5, 8):
+        pairs = pairs_over(n)
+        subset = [pairs[i] for i in sorted(rng.permutation(len(pairs))[:len(pairs) // 2])]
+        for pool in (pairs, subset, list(reversed(pairs))):
+            got = chain_candidates(pool, mode)
+            want = per_pair_candidates(pool, mode)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+
 def test_three_entity_chain_example():
     pairs = pairs_over(3)
     index = {(p.head, p.tail): i for i, p in enumerate(pairs)}

@@ -1,11 +1,14 @@
 """Threshold calibration, training determinism, divergence diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
 from docrel.config import TrainingConfig
 from docrel.corpus import build_vocabulary
 from docrel.errors import ContractError, TrainingDiverged
+from docrel.evaluation import write_predictions
 from docrel.model import prepare_document
 from docrel.training import (EpochStats, PredictionSet, PredRecord, calibrate_threshold,
                              gold_instance_set, predict_documents, train_model)
@@ -44,6 +47,31 @@ def test_calibrate_matches_exhaustive_sweep_oracle():
         scores = np.round(rng.random(n), 3)
         gold = rng.random(n) < 0.4
         assert calibrate_threshold(scores, gold) == pytest.approx(sweep_oracle(scores, gold))
+
+
+def per_position_calibration(scores, gold):
+    """Walk every sorted position, skipping all but the last of each tie run."""
+    order = np.argsort(-scores, kind="stable")
+    s_sorted = scores[order]
+    tp = np.cumsum(gold[order])
+    f1 = 2.0 * tp / (np.arange(1, scores.size + 1) + gold.sum())
+    best_theta, best_f1 = float(s_sorted[0]) + 1.0, 0.0
+    for i in range(scores.size):
+        if i + 1 < scores.size and s_sorted[i + 1] == s_sorted[i]:
+            continue
+        theta = float(s_sorted[i])
+        if f1[i] > best_f1 or (f1[i] == best_f1 and theta > best_theta):
+            best_f1, best_theta = float(f1[i]), theta
+    return best_theta
+
+
+def test_calibrate_matches_per_position_loop_on_tied_scores():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        scores = np.round(rng.random(n), 1)
+        gold = rng.random(n) < rng.random()
+        assert calibrate_threshold(scores, gold) == per_position_calibration(scores, gold)
 
 
 def test_calibrate_empty_falls_back_with_warning():
@@ -121,6 +149,35 @@ def test_non_finite_loss_aborts_with_diagnostics(monkeypatch):
     assert exc.value.batch == 0
 
 
+def test_non_finite_gradient_aborts_before_the_step(monkeypatch):
+    from docrel import training
+
+    spy = {}
+
+    class SpyAdamW(training.AdamW):
+        def __init__(self, params, **kwargs):
+            super().__init__(params, **kwargs)
+            spy["params"] = self.params
+
+    real_backward = training.backward
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        victim = [p for p in spy["params"] if p.grad is not None][-1]
+        victim.tensor.grad.flat[0] = np.nan
+        spy["victim"] = victim.name
+
+    monkeypatch.setattr(training, "AdamW", SpyAdamW)
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    with pytest.raises(TrainingDiverged) as exc:
+        train_model(small_corpus(), tiny_config(), log=lambda m: None)
+    err = exc.value
+    assert (err.epoch, err.batch) == (1, 0)
+    assert err.parameter == spy["victim"] and spy["victim"] in str(err)
+    assert np.isfinite(err.max_abs_grad) and err.max_abs_grad > 0.0
+    assert all(np.isfinite(p.data).all() for p in spy["params"])
+
+
 def test_loss_decreases_on_small_corpus():
     docs = small_corpus()
     result = train_model(docs, tiny_config(epochs=12, dropout=0.0), log=lambda m: None)
@@ -138,17 +195,59 @@ def test_predict_documents_covers_full_pair_set():
     assert all(0.0 <= r.score <= 1.0 for r in preds.records)
 
 
-def test_predict_documents_threaded_matches_sequential():
+def per_record_predictions(model, features):
+    """One PredRecord per (pair, relation), document by document: the reference row order."""
+    recs = []
+    for feats in features:
+        out = model.forward(feats)
+        probs = out.probs.data
+        for i, p in enumerate(out.pairs):
+            for r in range(probs.shape[1]):
+                recs.append(PredRecord(feats.doc.title, p.head, p.tail, r, float(probs[i, r])))
+    return recs
+
+
+def per_record_prediction_file(records, threshold, vocab):
+    """The prediction file text, built by indexing every record by its key."""
+    id2label = {rid: label for label, rid in vocab.rel2id.items()}
+    decided = {(r.title, r.head, r.tail, r.relation) for r in records if r.score >= threshold}
+    by_score = {(r.title, r.head, r.tail, r.relation): r.score for r in records}
+    rows = [{"title": title, "h_idx": h, "t_idx": t, "r": id2label[r],
+             "score": by_score[(title, h, t, r)]}
+            for (title, h, t, r) in sorted(decided)]
+    return json.dumps(rows, indent=1, sort_keys=True) + "\n"
+
+
+def test_prediction_arrays_match_per_record_oracle(tmp_path):
     docs = small_corpus()
     result = train_model(docs, tiny_config(epochs=1), log=lambda m: None)
     feats = [prepare_document(d, result.vocab) for d in docs]
-    seq = predict_documents(result.model, feats, threads=1)
-    par = predict_documents(result.model, feats, threads=3)
-    assert seq.records == par.records
+    expected = per_record_predictions(result.model, feats)
+    threshold = sorted(r.score for r in expected)[-10]
+    preds = predict_documents(result.model, feats, threshold=threshold)
+    assert isinstance(preds.scores, np.ndarray) and preds.scores.shape == (len(expected),)
+    got = preds.records
+    assert got == expected
+    assert (np.array([r.score for r in got]).tobytes()
+            == np.array([r.score for r in expected]).tobytes())
+    decided = {(r.title, r.head, r.tail, r.relation) for r in expected if r.score >= threshold}
+    assert preds.decided() == decided and len(decided) >= 10
+    path = tmp_path / "predictions.json"
+    write_predictions(path, preds, result.vocab)
+    assert path.read_text(encoding="utf-8") == per_record_prediction_file(
+        expected, threshold, result.vocab)
+
+
+def test_predict_documents_of_no_documents_is_empty():
+    docs = small_corpus()
+    result = train_model(docs, tiny_config(epochs=0), log=lambda m: None)
+    preds = predict_documents(result.model, [], threshold=0.5)
+    assert preds.records == [] and preds.decided() == set()
 
 
 def test_prediction_set_decision_rules():
     recs = [PredRecord("d", 0, 1, 0, 0.9), PredRecord("d", 0, 1, 1, 0.2)]
-    assert PredictionSet(recs, threshold=0.5).decided() == {("d", 0, 1, 0)}
-    assert PredictionSet(recs, threshold=None).decided() == {("d", 0, 1, 0), ("d", 0, 1, 1)}
+    assert PredictionSet.from_records(recs, threshold=0.5).decided() == {("d", 0, 1, 0)}
+    assert PredictionSet.from_records(recs, threshold=None).decided() == {("d", 0, 1, 0),
+                                                                          ("d", 0, 1, 1)}
     assert gold_instance_set(small_corpus())  # nonempty sanity
