@@ -2,9 +2,10 @@
 
 Primitives applied while a :class:`Tape` is active are recorded in execution
 order (which is already topological); :func:`backward` walks the record in
-reverse and accumulates gradients into every reachable leaf. With no tape
-active every operation is a plain numpy computation, which keeps inference
-and finite-difference evaluation cheap.
+reverse and accumulates gradients into every reachable leaf. Leaving the
+tape's ``with`` block drops the record, so call :func:`backward` inside it.
+With no tape active every operation is a plain numpy computation, which
+keeps inference and finite-difference evaluation cheap.
 
 64-bit floats are the default so finite-difference checks stay tight; call
 :func:`set_default_dtype` for 32-bit runs.
@@ -55,6 +56,9 @@ class Tape:
         popped = _TAPE_STACK.pop()
         if popped is not self:
             raise ContractError("tape stack corrupted")
+        # each recorded tensor points back at this tape; dropping the records
+        # breaks that cycle, so the step's graph is freed without the cyclic GC
+        self.clear()
         return False
 
     def __len__(self) -> int:

@@ -12,49 +12,50 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Document, EntityPair, PairKind
-from .encoders import EncodedSentence
 from .errors import ContractError, ShapeError
 from .reps import IntraContext, PairRepresentation
 
 
-def mention_span_rep(enc: EncodedSentence, span: tuple[int, int]) -> Tensor:
-    """Arithmetic mean of the word vectors inside a half-open span."""
+def mention_span_rep(g: Tensor, span: tuple[int, int]) -> Tensor:
+    """Arithmetic mean of the (n, d) word states g inside a half-open span."""
     s, t = span
-    if not (0 <= s < t <= enc.g.shape[0]):
-        raise ContractError(f"mention span [{s}, {t}) outside sentence of length {enc.g.shape[0]}")
+    if not (0 <= s < t <= g.shape[0]):
+        raise ContractError(f"mention span [{s}, {t}) outside sequence of length {g.shape[0]}")
     if t - s == 1:
-        return ad.take_row(enc.g, s)
-    return ad.mean(ad.narrow(enc.g, s, t), axis=0)
+        return ad.take_row(g, s)
+    return ad.mean(ad.narrow(g, s, t), axis=0)
 
 
-def context_attention(head: Tensor, tail: Tensor, enc: EncodedSentence,
+def context_attention(head: Tensor, tail: Tensor, g: Tensor,
                       w_intra: Tensor) -> tuple[Tensor, Tensor]:
     """Relatedness scores s_k = relu(q . g_k) with q = W [head; tail], then softmax."""
-    d = enc.g.shape[1]
+    d = g.shape[1]
     if w_intra.shape != (d, 2 * d):
         raise ShapeError(f"context_attention: weight {w_intra.shape}, expected {(d, 2 * d)}")
     query = ad.matmul(w_intra, ad.concat([head, tail], axis=-1))
-    scores = ad.relu(ad.matmul(enc.g, query))
+    scores = ad.relu(ad.matmul(g, query))
     alpha = ad.softmax(scores)
     return scores, alpha
 
 
-def topk_context(enc: EncodedSentence, alpha: Tensor, k: int, beta: float) -> tuple[Tensor, np.ndarray]:
+def topk_context(g: Tensor, alpha: Tensor, k: int, beta: float) -> tuple[Tensor, np.ndarray]:
     """beta * mean(top-K words) + (1 - beta) * full weighted sum; K caps at n."""
     if k < 1:
         raise ContractError(f"top-K count must be >= 1: {k}")
     if not (0.0 <= beta <= 1.0):
         raise ContractError(f"beta must lie in [0, 1]: {beta}")
     idx = ad.topk_indices(alpha.data, k)
-    top_mean = ad.mean(ad.take_rows(enc.g, idx), axis=0)
-    weighted = ad.matmul(alpha, enc.g)
+    top_mean = ad.mean(ad.take_rows(g, idx), axis=0)
+    weighted = ad.matmul(alpha, g)
     return beta * top_mean + (1.0 - beta) * weighted, idx
 
 
-def intra_pair_rep(pair: EntityPair, doc: Document, enc_sents: list[EncodedSentence],
+def intra_pair_rep(pair: EntityPair, doc: Document, sent_states: list[Tensor],
                    w_intra: Tensor, k: int, beta: float,
                    average: str = "flat") -> PairRepresentation:
     """Mean of [head; tail; context] over the mention-pair co-occurrence instances.
+
+    `sent_states[i]` holds the (n_i, d) word states of sentence i.
 
     `flat` averages all instances in one pass; `nested` averages instances
     within each co-occurred sentence first, then averages the sentences.
@@ -68,7 +69,7 @@ def intra_pair_rep(pair: EntityPair, doc: Document, enc_sents: list[EncodedSente
     per_sentence: list[list[Tensor]] = []
     contexts = []
     for sid in pair.co_occur_sentences:
-        enc = enc_sents[sid]
+        g = sent_states[sid]
         instances = []
         for hm in head_mentions:
             if hm.sentence_id != sid:
@@ -76,10 +77,10 @@ def intra_pair_rep(pair: EntityPair, doc: Document, enc_sents: list[EncodedSente
             for tm in tail_mentions:
                 if tm.sentence_id != sid:
                     continue
-                e_h = mention_span_rep(enc, hm.span)
-                e_t = mention_span_rep(enc, tm.span)
-                scores, alpha = context_attention(e_h, e_t, enc, w_intra)
-                c, idx = topk_context(enc, alpha, k, beta)
+                e_h = mention_span_rep(g, hm.span)
+                e_t = mention_span_rep(g, tm.span)
+                scores, alpha = context_attention(e_h, e_t, g, w_intra)
+                c, idx = topk_context(g, alpha, k, beta)
                 instances.append(ad.concat([e_h, e_t, c], axis=-1))
                 contexts.append(IntraContext(
                     sentence_id=sid, head_span=hm.span, tail_span=tm.span,

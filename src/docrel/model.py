@@ -12,8 +12,7 @@ from . import intra as intra_mod
 from .autodiff import Tensor
 from .config import TrainingConfig, derive_rng
 from .corpus import Document, EntityPair, PairKind, Vocabulary, enumerate_entity_pairs, featurize_document
-from .encoders import (BiLstm, EmbeddingLayers, EncodedSentence, embed_tokens,
-                       encode_document, encode_sentence, glorot)
+from .encoders import BiLstm, EmbeddingLayers, embed_tokens, encode_document, encode_sentence, glorot
 from .errors import ContractError, ShapeError
 from .graph import EdgeKind, MentionGraph, build_mention_graph
 from .inter import RgcnParams, aggregation_matrices, entity_rep, node_final_rep, propagate
@@ -215,10 +214,7 @@ class RelationModel:
         """Graph node start values: mention nodes from their document-level token
         means, sentence nodes from the sentence summaries, the document node from
         the document summary. Inputs are already projected to the model width."""
-        rows = []
-        for s, t in feats.mention_doc_spans:
-            rows.append(ad.take_row(g_doc, s) if t - s == 1
-                        else ad.mean(ad.narrow(g_doc, s, t), axis=0))
+        rows = [intra_mod.mention_span_rep(g_doc, span) for span in feats.mention_doc_spans]
         rows.extend(sent_summaries)
         rows.append(d_doc)
         return ad.stack(rows)
@@ -232,12 +228,11 @@ class RelationModel:
         if not pairs:
             raise ContractError(f"document {doc.title!r}: no entity pairs to score")
 
-        enc_sents = []
+        sent_states, sent_summaries = [], []
         for sid, sf in enumerate(feats.sent_feats):
-            enc = encode_sentence(embed_tokens(sf, self.embeddings), self.sent_encoder)
-            enc_sents.append(EncodedSentence(
-                g=dropout.apply(self._project(enc.g), ("sent", sid)),
-                summary=self._project(enc.summary)))
+            g, summary = encode_sentence(embed_tokens(sf, self.embeddings), self.sent_encoder)
+            sent_states.append(dropout.apply(self._project(g), ("sent", sid)))
+            sent_summaries.append(self._project(summary))
 
         route_inter = [
             p for p in pairs
@@ -245,12 +240,10 @@ class RelationModel:
         ]
         node_m = None
         if route_inter:
-            enc_doc = encode_document(embed_tokens(feats.doc_feats, self.embeddings),
-                                      self.doc_encoder)
-            g_doc = dropout.apply(self._project(enc_doc.g), ("doc",))
-            d_doc = self._project(enc_doc.summary)
-            h0 = self.initial_node_states(feats, g_doc,
-                                          [enc.summary for enc in enc_sents], d_doc)
+            g_doc, d_doc = encode_document(embed_tokens(feats.doc_feats, self.embeddings),
+                                           self.doc_encoder)
+            g_doc = dropout.apply(self._project(g_doc), ("doc",))
+            h0 = self.initial_node_states(feats, g_doc, sent_summaries, self._project(d_doc))
             states = propagate(h0, feats.agg, self.rgcn)
             node_m = node_final_rep(states, self.rgcn.w_u)
 
@@ -267,7 +260,7 @@ class RelationModel:
         for p in pairs:
             if p.kind is PairKind.INTRA and not cfg.inter4intra:
                 rep = intra_mod.intra_pair_rep(
-                    p, doc, enc_sents, self.w_intra.tensor, cfg.topk, cfg.beta,
+                    p, doc, sent_states, self.w_intra.tensor, cfg.topk, cfg.beta,
                     average=cfg.intra_average)
             else:
                 if m_sentences is None:

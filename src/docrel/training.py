@@ -100,7 +100,8 @@ def predict_documents(model: RelationModel, features: list[DocFeatures],
                       threshold: float | None = None) -> PredictionSet:
     """Score every ordered entity pair of every document (no sampling).
 
-    Rows run document by document, pair by pair, relation by relation.
+    Rows run document by document, pair by pair, relation by relation. A
+    document without pairs (fewer than two entities) gives no rows.
     """
 
     def rows(feats: DocFeatures) -> tuple[np.ndarray, ...]:
@@ -114,7 +115,7 @@ def predict_documents(model: RelationModel, features: list[DocFeatures],
                 np.tile(np.arange(n_rel, dtype=np.int64), n_pairs), out.probs.data.ravel())
 
     blocks = [tuple(np.empty(0, dtype=d) for d in _COLUMN_DTYPES)]
-    blocks += [rows(f) for f in features]
+    blocks += [rows(f) for f in features if f.pairs]
     return PredictionSet(*map(np.concatenate, zip(*blocks)), threshold=threshold)
 
 

@@ -19,7 +19,6 @@ from docrel.checkpoint import load_checkpoint, save_checkpoint
 from docrel.config import TrainingConfig, derive_rng
 from docrel.corpus import (Document, Entity, Mention, PairKind, RelationFact,
                            build_vocabulary, enumerate_entity_pairs, load_docred)
-from docrel.encoders import EncodedSentence
 from docrel.evaluation import compute_f1_suite, train_fact_names
 from docrel.graph import EdgeKind, build_mention_graph
 from docrel.intra import context_attention, topk_context
@@ -214,7 +213,7 @@ def test_criterion_5_normalization_convexity():
         d = int(rng.integers(2, 6))
         n_words = int(rng.integers(1, 8))
         # intra attention over words
-        enc = EncodedSentence(g=Tensor(rng.normal(size=(n_words, d))), summary=None)
+        enc = Tensor(rng.normal(size=(n_words, d)))
         w_intra = Tensor(rng.normal(size=(d, 2 * d)))
         _, alpha = context_attention(Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)),
                                      enc, w_intra)

@@ -1,5 +1,6 @@
 """End-to-end command-line flows in a temp directory, including exit codes."""
 
+import copy
 import json
 import struct
 
@@ -262,3 +263,50 @@ def test_non_integer_prediction_index_maps_to_bad_data(workspace):
     code = main(["eval", "--data", str(workspace / "dev.json"), "--pred", str(pred),
                  "--train", str(workspace / "train.json")])
     assert code == EXIT_BAD_DATA
+
+
+def one_entity(doc, title):
+    doc = copy.deepcopy(doc)
+    doc["title"] = title
+    doc["vertexSet"] = doc["vertexSet"][:1]
+    doc["labels"] = []
+    return doc
+
+
+def with_empty_sentence(doc, title):
+    """The same document with an empty sentence inserted at position 1."""
+    doc = copy.deepcopy(doc)
+    doc["title"] = title
+    doc["sents"].insert(1, [])
+    for vertex in doc["vertexSet"]:
+        for mention in vertex:
+            mention["sent_id"] += mention["sent_id"] >= 1
+    for label in doc["labels"]:
+        label["evidence"] = [e + (e >= 1) for e in label["evidence"]]
+    return doc
+
+
+@pytest.mark.parametrize("degenerate", [one_entity, with_empty_sentence])
+def test_predict_survives_a_degenerate_document(workspace, trained, degenerate):
+    good = json.loads((workspace / "dev.json").read_text(encoding="utf-8"))[0]
+    rows = {}
+    for name, docs in (("alone", [good]), ("mixed", [degenerate(good, "degenerate"), good])):
+        data = workspace / f"{degenerate.__name__}-{name}.json"
+        data.write_text(json.dumps(docs), encoding="utf-8")
+        out = workspace / f"pred-{degenerate.__name__}-{name}"
+        code = main(["predict", "--data", str(data),
+                     "--checkpoint", str(trained / "model.ckpt"), "--out", str(out)])
+        assert code == EXIT_OK
+        rows[name] = json.loads((out / "predictions.json").read_text(encoding="utf-8"))
+    assert rows["alone"]
+    assert [r for r in rows["mixed"] if r["title"] == good["title"]] == rows["alone"]
+
+
+def test_train_survives_an_empty_sentence(workspace):
+    docs = json.loads((workspace / "train.json").read_text(encoding="utf-8"))
+    docs[0] = with_empty_sentence(docs[0], docs[0]["title"])
+    data = workspace / "train-empty-sentence.json"
+    data.write_text(json.dumps(docs), encoding="utf-8")
+    code = main(["train", "--data", str(data), "--config", str(workspace / "config.txt"),
+                 "--epochs", "1", "--out", str(workspace / "run-empty-sentence")])
+    assert code == EXIT_OK

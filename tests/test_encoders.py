@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from docrel import autodiff as ad
-from docrel.autodiff import Tensor, check_gradients
+from docrel.autodiff import Tape, Tensor, backward, check_gradients
 from docrel.corpus import Document, Entity, Mention, Vocabulary, build_vocabulary
 from docrel.encoders import (BiLstm, EmbeddingLayers, embed_tokens, encode_document,
                              encode_sentence, load_word_vectors)
-from docrel.errors import ContractError, NotFoundError, ParseError
+from docrel.errors import NotFoundError, ParseError
 
 
 def make_layers(rng, n_words=7, n_types=3, n_coref=4, dims=(5, 2, 2)):
@@ -77,15 +77,21 @@ def test_zero_weights_give_zero_outputs():
 def test_length_one_sentence_summary_equals_row_zero():
     rng = np.random.default_rng(2)
     lstm = BiLstm.create(rng, "enc", input_dim=4, hidden=3)
-    enc = encode_sentence(Tensor(rng.normal(size=(1, 4))), lstm)
-    np.testing.assert_allclose(enc.summary.data, enc.g.data[0], atol=0, rtol=0)
+    g, summary = encode_sentence(Tensor(rng.normal(size=(1, 4))), lstm)
+    np.testing.assert_allclose(summary.data, g.data[0], atol=0, rtol=0)
 
 
-def test_empty_sequence_rejected():
+def test_empty_sequence_gives_no_states_and_the_zero_initial_summary():
     rng = np.random.default_rng(2)
     lstm = BiLstm.create(rng, "enc", input_dim=4, hidden=3)
-    with pytest.raises(ContractError):
-        lstm.run(Tensor(np.zeros((0, 4))))
+    x = Tensor(np.zeros((0, 4)), requires_grad=True)
+    with Tape():
+        g, summary = lstm.run(x)
+        assert g.shape == (0, 6)
+        np.testing.assert_array_equal(summary.data, np.zeros(6))
+        backward(ad.tsum(g), leaves=[x] + [p.tensor for p in lstm.parameters()])
+    for p in lstm.parameters():
+        np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
 
 
 def numpy_lstm_oracle(x, w_x, w_h, b, hidden):
@@ -112,15 +118,15 @@ def test_encoder_matches_independent_recurrence_oracle():
     hidden = 4
     lstm = BiLstm.create(rng, "enc", input_dim=5, hidden=hidden)
     x = rng.normal(size=(5, 5))
-    enc = encode_document(Tensor(x), lstm)
+    g, summary = encode_document(Tensor(x), lstm)
 
     fw, fw_final = numpy_lstm_oracle(
         x, lstm.p["fw.Wx"].data, lstm.p["fw.Wh"].data, lstm.p["fw.b"].data, hidden)
     bw_rev, bw_final = numpy_lstm_oracle(
         x[::-1], lstm.p["bw.Wx"].data, lstm.p["bw.Wh"].data, lstm.p["bw.b"].data, hidden)
     bw = bw_rev[::-1]
-    np.testing.assert_allclose(enc.g.data, np.concatenate([fw, bw], axis=1), atol=1e-12)
-    np.testing.assert_allclose(enc.summary.data, np.concatenate([fw_final, bw_final]), atol=1e-12)
+    np.testing.assert_allclose(g.data, np.concatenate([fw, bw], axis=1), atol=1e-12)
+    np.testing.assert_allclose(summary.data, np.concatenate([fw_final, bw_final]), atol=1e-12)
 
 
 def test_document_encoder_equals_sentence_encoder_under_weight_tying():
@@ -130,10 +136,8 @@ def test_document_encoder_equals_sentence_encoder_under_weight_tying():
     for key in doc.p:
         doc.p[key].tensor.data[...] = sent.p[key].data
     x = Tensor(rng.normal(size=(6, 4)))
-    es = encode_sentence(x, sent)
-    edoc = encode_document(x, doc)
-    np.testing.assert_array_equal(es.g.data, edoc.g.data)
-    np.testing.assert_array_equal(es.summary.data, edoc.summary.data)
+    for a, b in zip(encode_sentence(x, sent), encode_document(x, doc)):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_sentence_encoding_ignores_other_sentences():
@@ -141,24 +145,37 @@ def test_sentence_encoding_ignores_other_sentences():
     rng = np.random.default_rng(5)
     lstm = BiLstm.create(rng, "enc", input_dim=4, hidden=3)
     x = rng.normal(size=(4, 4))
-    first = encode_sentence(Tensor(x), lstm).g.data
-    second = encode_sentence(Tensor(x), lstm).g.data
+    first = encode_sentence(Tensor(x), lstm)[0].data
+    second = encode_sentence(Tensor(x), lstm)[0].data
     np.testing.assert_array_equal(first, second)
 
 
 def test_encoder_gradients_at_toy_dims():
+    # the loss reads every state of both directions and both final states
     rng = np.random.default_rng(6)
     lstm = BiLstm.create(rng, "enc", input_dim=3, hidden=3)
-    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    for n in (1, 2, 5):
+        x = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
 
-    def loss_fn():
-        g, summary = lstm.run(x)
-        return ad.tsum(ad.mul(g, g)) + ad.tsum(ad.tanh(summary))
+        def loss_fn():
+            g, summary = lstm.run(x)
+            return ad.tsum(ad.mul(g, g)) + ad.tsum(ad.tanh(summary))
 
-    leaves = [x] + [p.tensor for p in lstm.parameters()]
-    err, checked, skipped = check_gradients(loss_fn, leaves, eps=1e-6)
-    assert err < 1e-6
-    assert checked > 0
+        leaves = [x] + [p.tensor for p in lstm.parameters()]
+        err, checked, skipped = check_gradients(loss_fn, leaves, eps=1e-6)
+        assert err < 1e-6, n
+        assert checked > 0
+
+
+def test_tape_length_of_one_run_does_not_grow_with_the_sequence():
+    rng = np.random.default_rng(7)
+    lstm = BiLstm.create(rng, "enc", input_dim=3, hidden=2)
+    lengths = []
+    for n in (3, 30):
+        with Tape() as tape:
+            lstm.run(Tensor(rng.normal(size=(n, 3)), requires_grad=True))
+            lengths.append(len(tape))
+    assert lengths[0] == lengths[1]
 
 
 def test_load_word_vectors(tmp_path):

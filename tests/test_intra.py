@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from docrel import autodiff as ad
 from docrel.autodiff import Tensor
 from docrel.corpus import Document, Entity, EntityPair, Mention, PairKind
-from docrel.encoders import EncodedSentence
 from docrel.errors import ContractError, ShapeError
 from docrel.intra import context_attention, intra_pair_rep, mention_span_rep, topk_context
 
 
 def enc_of(rows):
-    g = Tensor(np.asarray(rows, dtype=float))
-    return EncodedSentence(g=g, summary=ad.mean(g, axis=0))
+    """A sentence's (n, d) word-state tensor."""
+    return Tensor(np.asarray(rows, dtype=float))
 
 
 def test_single_token_span_is_identity():
@@ -132,8 +130,8 @@ def test_intra_single_instance_is_plain_concat():
     w = Tensor(rng.normal(size=(4, 8)))
     pair = EntityPair(0, 1, PairKind.INTRA, [0])
     rep = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9)
-    e_h = encs[0].g.data[0]
-    e_t = encs[0].g.data[2]
+    e_h = encs[0].data[0]
+    e_t = encs[0].data[2]
     np.testing.assert_allclose(rep.vector.data[:4], e_h, atol=1e-12)
     np.testing.assert_allclose(rep.vector.data[4:8], e_t, atol=1e-12)
     assert rep.vector.shape == (12,)
@@ -171,7 +169,7 @@ def test_intra_instance_enumeration_oracle():
     rep = intra_pair_rep(pair, doc, encs, Tensor(w_values), k=2, beta=0.9)
 
     # explicit enumeration with plain numpy
-    g = encs[0].g.data
+    g = encs[0].data
     vectors = []
     for hm in ((0, 1), (1, 2)):
         e_h = g[hm[0]:hm[1]].mean(axis=0)
@@ -227,7 +225,7 @@ def test_nested_averaging_weights_sentences_equally():
     pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
 
     def instance_vectors(sid, mention_pairs):
-        g = encs[sid].g.data
+        g = encs[sid].data
         out = []
         for (hs, he), (ts, te) in mention_pairs:
             e_h = g[hs:he].mean(axis=0)

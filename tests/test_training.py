@@ -1,10 +1,12 @@
 """Threshold calibration, training determinism, divergence diagnostics."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
+from docrel.autodiff import Tensor
 from docrel.config import TrainingConfig
 from docrel.corpus import build_vocabulary
 from docrel.errors import ContractError, TrainingDiverged
@@ -251,3 +253,22 @@ def test_prediction_set_decision_rules():
     assert PredictionSet.from_records(recs, threshold=None).decided() == {("d", 0, 1, 0),
                                                                           ("d", 0, 1, 1)}
     assert gold_instance_set(small_corpus())  # nonempty sanity
+
+
+def test_train_model_leaves_no_tensor_for_the_cyclic_collector():
+    saved_garbage, flags, enabled = list(gc.garbage), gc.get_debug(), gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = train_model(small_corpus(), tiny_config(), log=lambda m: None)
+        del result
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sum(isinstance(o, Tensor) for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved_garbage
+        if enabled:
+            gc.enable()
+    assert leaked == 0
