@@ -9,6 +9,9 @@ import numpy as np
 from .autodiff import Tensor, default_dtype
 from .errors import ConfigError
 
+BLOCK = 1 << 14
+"""Elements per block of the in-place AdamW update; two scratch blocks this size stay in L2."""
+
 
 class Parameter:
     """Named leaf tensor with per-parameter optimizer state."""
@@ -17,7 +20,9 @@ class Parameter:
 
     def __init__(self, name: str, values: np.ndarray):
         self.name = name
-        self.tensor = Tensor(np.asarray(values, dtype=default_dtype()), requires_grad=True)
+        # C order, so the optimizer's flat views write through to the stored weights
+        self.tensor = Tensor(np.asarray(values, dtype=default_dtype(), order="C"),
+                             requires_grad=True)
         self.m = np.zeros_like(self.tensor.data)
         self.v = np.zeros_like(self.tensor.data)
         self.step = 0
@@ -29,9 +34,6 @@ class Parameter:
     @property
     def grad(self) -> np.ndarray | None:
         return self.tensor.grad
-
-    def grad_or_zeros(self) -> np.ndarray:
-        return self.tensor.grad if self.tensor.grad is not None else np.zeros_like(self.tensor.data)
 
     def zero_grad(self) -> None:
         self.tensor.zero_grad()
@@ -52,6 +54,8 @@ class AdamW:
             raise ConfigError(f"betas must lie in [0, 1): {betas}")
         if weight_decay < 0:
             raise ConfigError(f"weight decay must be non-negative: {weight_decay}")
+        if eps <= 0:
+            raise ConfigError(f"eps must be positive: {eps}")
         self.params = list(params)
         self.lr = lr
         self.betas = betas
@@ -59,18 +63,44 @@ class AdamW:
         self.weight_decay = weight_decay
 
     def step(self) -> None:
+        """Update ``m``, ``v`` and the weights in place, ``BLOCK`` elements at a time.
+
+        Each block takes the same elementwise operations in the same order as
+        ``w -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * w)`` over whole arrays,
+        so the weights are bit-identical to that formula's.
+        """
         b1, b2 = self.betas
+        lr, eps, wd = self.lr, self.eps, self.weight_decay
         for p in self.params:
-            g = p.grad_or_zeros()
             p.step += 1
-            p.m = b1 * p.m + (1.0 - b1) * g
-            p.v = b2 * p.v + (1.0 - b2) * (g * g)
-            m_hat = p.m / (1.0 - b1 ** p.step)
-            v_hat = p.v / (1.0 - b2 ** p.step)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.tensor.data -= self.lr * update
+            c1, c2 = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
+            w, m, v = p.data.reshape(-1), p.m.reshape(-1), p.v.reshape(-1)
+            # a missing gradient is read as zeros through a stride-0 view, not allocated
+            g = (p.grad.reshape(-1) if p.grad is not None
+                 else np.broadcast_to(w.dtype.type(0), w.shape))
+            size = min(w.size, BLOCK)
+            s1, s2 = np.empty(size, w.dtype), np.empty(size, w.dtype)
+            for lo in range(0, w.size, BLOCK):
+                hi = min(lo + BLOCK, w.size)
+                gb, wb, mb, vb = g[lo:hi], w[lo:hi], m[lo:hi], v[lo:hi]
+                t1, t2 = s1[:hi - lo], s2[:hi - lo]
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=t1)
+                mb += t1
+                vb *= b2
+                np.multiply(gb, gb, out=t1)
+                t1 *= 1.0 - b2
+                vb += t1
+                np.divide(mb, c1, out=t1)
+                np.divide(vb, c2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += eps
+                t1 /= t2
+                if wd:
+                    np.multiply(wb, wd, out=t2)
+                    t1 += t2
+                t1 *= lr
+                wb -= t1
             p.zero_grad()
 
     def zero_grad(self) -> None:

@@ -164,7 +164,6 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
     optimizer = AdamW(model.parameters(), lr=config.learning_rate,
                       weight_decay=config.weight_decay)
     result = TrainResult(model=model, vocab=vocab, threshold=config.threshold)
-    result.best_state = model.state_arrays()
 
     def evaluate_dev() -> tuple[float, float]:
         """Micro F1 on the dev set at its own calibrated threshold, and that threshold."""
@@ -231,6 +230,7 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
         log(f"epoch {epoch}: loss={epoch_loss:.4f} pairs={epoch_pairs}"
             + (f" dev_f1={stats.dev_f1:.4f}" if stats.dev_f1 is not None else ""))
 
-    if not dev_features:
+    # no dev set, or no epoch: the final weights
+    if result.best_state is None:
         result.best_state = model.state_arrays()
     return result

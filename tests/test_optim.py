@@ -1,4 +1,6 @@
-"""AdamW against a hand-stepped recurrence; checkpoint round-trips bit-exactly."""
+"""AdamW against a hand-stepped recurrence and the whole-array update; checkpoint round-trips."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,35 @@ from docrel import autodiff as ad
 from docrel.autodiff import Tape, backward
 from docrel.checkpoint import load_checkpoint, save_checkpoint
 from docrel.errors import CheckpointError, ConfigError
-from docrel.optim import AdamW, Parameter
+from docrel.optim import BLOCK, AdamW, Parameter
+from docrel.training import train_model
+from test_training import small_corpus, tiny_config
+
+
+def oracle_step(opt):
+    """The whole-array AdamW update, one fresh array per operation."""
+    b1, b2 = opt.betas
+    for p in opt.params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.step += 1
+        p.m = b1 * p.m + (1.0 - b1) * g
+        p.v = b2 * p.v + (1.0 - b2) * (g * g)
+        m_hat = p.m / (1.0 - b1 ** p.step)
+        v_hat = p.v / (1.0 - b2 ** p.step)
+        update = m_hat / (np.sqrt(v_hat) + opt.eps)
+        if opt.weight_decay:
+            update = update + opt.weight_decay * p.data
+        p.tensor.data -= opt.lr * update
+        p.zero_grad()
+
+
+@pytest.fixture(params=[np.float64, np.float32], ids=["f64", "f32"])
+def dtype(request):
+    ad.set_default_dtype(request.param)
+    try:
+        yield request.param
+    finally:
+        ad.set_default_dtype(np.float64)
 
 
 def test_zero_gradient_zero_decay_is_fixed_point():
@@ -71,12 +101,87 @@ def test_nonpositive_lr_rejected():
         AdamW([Parameter("w", np.zeros(1))], lr=0.0)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_nonpositive_eps_rejected(eps):
+    # eps = 0 with a zero second moment would write 0/0 = NaN into the weights
+    with pytest.raises(ConfigError):
+        AdamW([Parameter("w", np.zeros(1))], eps=eps)
+
+
 def test_step_counts_are_monotone_per_parameter():
     p = Parameter("w", np.array([0.0]))
     opt = AdamW([p], lr=0.01)
     for want in (1, 2, 3):
         opt.step()
         assert p.step == want
+
+
+@pytest.mark.parametrize("shape", [(), (7, 5), (BLOCK,), (BLOCK + 1,), (3, BLOCK + 5)],
+                         ids=["0d", "under_block", "one_block", "block_plus_one", "blocks"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("missing", [False, True], ids=["grads", "grad_none_at_step_2"])
+def test_step_is_bit_identical_to_the_whole_array_update(shape, weight_decay, missing, dtype):
+    rng = np.random.default_rng(3)
+    init = rng.normal(size=shape)
+    grads = [rng.normal(size=shape) for _ in range(3)]
+    grads[0] = np.where(rng.random(shape) < 0.1, 0.0, grads[0])
+    if missing:
+        grads[1] = None
+    sides = []
+    for step in (AdamW.step, oracle_step):
+        p = Parameter("w", init)
+        opt = AdamW([p], lr=0.01, weight_decay=weight_decay)
+        for g in grads:
+            p.tensor.grad = None if g is None else np.asarray(g, dtype=dtype)
+            step(opt)
+        sides.append(p)
+    got, want = sides
+    assert got.data.shape == shape
+    for name in ("data", "m", "v"):
+        assert getattr(got, name).dtype == dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.step == want.step == 3 and got.grad is None
+
+
+def test_parameter_from_a_transposed_array_moves_like_the_oracle():
+    base = np.random.default_rng(4).normal(size=(3, 5))
+    got, want = Parameter("w", base.T), Parameter("w", base.T.copy())
+    assert got.data.flags.c_contiguous
+    for p, step in ((got, AdamW.step), (want, oracle_step)):
+        p.tensor.grad = np.ones((5, 3))
+        step(AdamW([p], lr=0.1))
+    assert not np.array_equal(got.data, base.T)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_step_allocates_a_small_fraction_of_the_parameter():
+    p = Parameter("w", np.ones((1000, 1000)))
+    p.tensor.grad = np.full((1000, 1000), 0.5)
+    opt = AdamW([p], lr=0.01)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * p.data.nbytes
+
+
+def test_training_with_the_oracle_step_gives_identical_weights_and_losses(monkeypatch):
+    docs = small_corpus()
+
+    def run():
+        return train_model(docs[:3], tiny_config(epochs=2), dev_docs=docs[3:],
+                           log=lambda m: None)
+
+    got = run()
+    monkeypatch.setattr(AdamW, "step", oracle_step)
+    want = run()
+    assert set(got.best_state) == set(want.best_state)
+    for name, arr in want.best_state.items():
+        assert got.best_state[name].tobytes() == arr.tobytes(), name
+    assert ([(s.epoch, s.loss, s.dev_f1, s.threshold) for s in got.history]
+            == [(s.epoch, s.loss, s.dev_f1, s.threshold) for s in want.history])
 
 
 def test_optimizer_drives_simple_quadratic_down():

@@ -108,6 +108,18 @@ def test_zero_epochs_returns_initialization():
     assert result.history == []
 
 
+def test_zero_epochs_with_dev_returns_initialization():
+    docs = small_corpus()
+    cfg = tiny_config(epochs=0)
+    result = train_model(docs[:3], cfg, dev_docs=docs[3:], log=lambda m: None)
+    from docrel.model import RelationModel
+    fresh = RelationModel(cfg, result.vocab)
+    assert set(result.best_state) == set(fresh.state_arrays())
+    for name, arr in fresh.state_arrays().items():
+        assert result.best_state[name].tobytes() == arr.tobytes()
+    assert result.history == [] and result.best_f1 is None
+
+
 def test_training_is_bitwise_deterministic():
     docs = small_corpus()
     r1 = train_model(docs, tiny_config(), log=lambda m: None)
