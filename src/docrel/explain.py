@@ -9,7 +9,6 @@ import numpy as np
 from .corpus import PairKind
 from .errors import NotFoundError
 from .model import DocFeatures, RelationModel
-from .reps import EvidenceDistribution
 
 
 @dataclass
@@ -71,7 +70,6 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
         raise NotFoundError(f"document {doc.title!r} has no pair ({head}, {tail})")
     out = model.forward(feats)
     pair = out.pairs[idx]
-    rep = out.reps_pre[idx]
     probs = out.probs.data[idx].copy()
     record = ExplanationRecord(
         title=doc.title, head=head, tail=tail, kind=pair.kind, probabilities=probs,
@@ -81,23 +79,25 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
         pool_before=out.pool_input.data.copy(),
     )
 
-    if isinstance(rep.provenance, EvidenceDistribution):
-        ev = rep.provenance
+    row = int(out.block_row[idx])
+    n_intra = out.intra.vectors.shape[0] if out.intra is not None else 0
+    if row >= n_intra:
+        scores, alpha = out.inter.scores[row - n_intra], out.inter.alpha[row - n_intra]
         record.evidence = [
-            EvidenceView(sentence_id=k, score=float(ev.scores[k]), weight=float(ev.alpha[k]))
-            for k in range(len(ev.alpha))
+            EvidenceView(sentence_id=k, score=float(scores[k]), weight=float(alpha[k]))
+            for k in range(len(alpha))
         ]
-    elif rep.provenance:
-        for ctx in rep.provenance:
-            sent = doc.sentences[ctx.sentence_id]
+    else:
+        route = out.intra
+        for i in np.flatnonzero(route.instances.pair == row):
+            sid = int(route.instances.sentence[i])
+            sent = doc.sentences[sid]
             record.intra_contexts.append(IntraContextView(
-                sentence_id=ctx.sentence_id,
-                head_text=" ".join(sent[ctx.head_span[0]:ctx.head_span[1]]),
-                tail_text=" ".join(sent[ctx.tail_span[0]:ctx.tail_span[1]]),
-                top_words=[
-                    WordHighlight(ctx.sentence_id, int(t), sent[int(t)], float(ctx.alpha[int(t)]))
-                    for t in ctx.topk
-                ],
+                sentence_id=sid,
+                head_text=" ".join(sent[t] for t in np.flatnonzero(route.instances.head_means[i])),
+                tail_text=" ".join(sent[t] for t in np.flatnonzero(route.instances.tail_means[i])),
+                top_words=[WordHighlight(sid, int(t), sent[t], float(route.alpha[i, t]))
+                           for t in route.topk[i] if t >= 0],
             ))
 
     if out.gamma is not None:

@@ -61,10 +61,6 @@ class MentionGraph:
             self._adjacency[kind] = cached
         return cached
 
-    def entity_mention_node_ids(self, entity_id: int) -> list[int]:
-        ids = [nid for (eid, _), nid in self.mention_nodes.items() if eid == entity_id]
-        return sorted(ids)
-
 
 def build_mention_graph(doc: Document) -> MentionGraph:
     """Apply the four edge rules to a validated document.

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EntityPair, PairKind
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .graph import EdgeKind, MentionGraph
 from .optim import Parameter
-from .reps import EvidenceDistribution, PairRepresentation
 
 EVIDENCE_EPS = 1e-12
 
@@ -92,39 +91,36 @@ def node_final_rep(states: list[Tensor], w_u: Parameter) -> Tensor:
     return ad.relu(ad.linear(cat, w_u.tensor))
 
 
-def entity_rep(mention_node_ids: list[int], m: Tensor) -> Tensor:
-    """Mean of the final mention-node vectors of one entity."""
-    if not mention_node_ids:
-        raise ContractError("entity_rep: entity has no mention nodes")
-    if len(mention_node_ids) == 1:
-        return ad.take_row(m, mention_node_ids[0])
-    return ad.mean(ad.take_rows(m, np.asarray(mention_node_ids)), axis=0)
-
-
 def evidence_weights(head: Tensor, tail: Tensor, m_sentences: Tensor,
                      w_k: Tensor) -> tuple[Tensor, Tensor]:
     """Logistic evidence score per sentence, then sum-normalization.
 
     w_k has shape (1, 3 * d_g) and scores [head; tail; m_sentence_k]; the
     normalizer carries a 1e-12 floor so all-zero scores cannot divide by zero.
+    head and tail are (d_g,) for one pair or (P, d_g) for P pairs; scores and
+    weights are then (S,) or (P, S).
     """
     d = m_sentences.shape[1]
     if w_k.shape != (1, 3 * d):
         raise ShapeError(f"evidence_weights: weight {w_k.shape}, expected {(1, 3 * d)}")
     w = ad.reshape(w_k, (3 * d,))
-    base = ad.matmul(ad.narrow(w, 0, 2 * d), ad.concat([head, tail], axis=-1))
-    logits = ad.matmul(m_sentences, ad.narrow(w, 2 * d, 3 * d)) + base
+    base = ad.matmul(ad.concat([head, tail], axis=-1), ad.narrow(w, 0, 2 * d))
+    column = base.shape + (1,)
+    logits = ad.reshape(base, column) + ad.matmul(m_sentences, ad.narrow(w, 2 * d, 3 * d))
     scores = ad.sigmoid(logits)
-    alpha = ad.div(scores, ad.tsum(scores) + EVIDENCE_EPS)
+    alpha = ad.div(scores, ad.reshape(ad.tsum(scores, axis=-1), column) + EVIDENCE_EPS)
     return scores, alpha
 
 
-def inter_pair_rep(pair: EntityPair, head: Tensor, tail: Tensor, m_sentences: Tensor,
-                   w_k: Tensor, kind: PairKind | None = None) -> PairRepresentation:
+class InterRoute(NamedTuple):
+    vectors: Tensor     # (P, 3d) or (3d,) pair representations
+    scores: np.ndarray  # (P, S) or (S,) logistic evidence score per sentence
+    alpha: np.ndarray   # scores normalized by their row sum
+
+
+def inter_pair_rep(head: Tensor, tail: Tensor, m_sentences: Tensor, w_k: Tensor) -> InterRoute:
     """[head; tail; evidence-weighted sentence average] with the distribution kept."""
     scores, alpha = evidence_weights(head, tail, m_sentences, w_k)
     context = ad.matmul(alpha, m_sentences)
-    vector = ad.concat([head, tail, context], axis=-1)
-    return PairRepresentation(
-        head=pair.head, tail=pair.tail, kind=kind or pair.kind, vector=vector,
-        provenance=EvidenceDistribution(scores=scores.data.copy(), alpha=alpha.data.copy()))
+    vectors = ad.concat([head, tail, context], axis=-1)
+    return InterRoute(vectors, scores.data, alpha.data)

@@ -11,14 +11,14 @@ from . import inter as inter_mod
 from . import intra as intra_mod
 from .autodiff import Tensor
 from .config import TrainingConfig, derive_rng
-from .corpus import Document, EntityPair, PairKind, Vocabulary, enumerate_entity_pairs, featurize_document
+from .corpus import Document, EntityPair, Vocabulary, enumerate_entity_pairs, featurize_document
 from .encoders import BiLstm, EmbeddingLayers, embed_tokens, encode_document, encode_sentence, glorot
 from .errors import ContractError, ShapeError
 from .graph import EdgeKind, MentionGraph, build_mention_graph
-from .inter import RgcnParams, aggregation_matrices, entity_rep, node_final_rep, propagate
+from .inter import InterRoute, RgcnParams, aggregation_matrices, node_final_rep, propagate
+from .intra import IntraInstances, IntraRoute, intra_instances, span_means
 from .optim import Parameter
 from .reasoning import chain_candidates, reasoning_update
-from .reps import PairRepresentation
 
 BCE_EPS = 1e-12
 
@@ -30,13 +30,15 @@ class DocFeatures:
     doc: Document
     sent_feats: list[np.ndarray]   # per sentence (n_i, 3) id triples
     doc_feats: np.ndarray          # (m, 3), sentences concatenated
-    sent_offsets: list[int]
     graph: MentionGraph
     agg: dict[EdgeKind, np.ndarray]
     pairs: list[EntityPair]
     pair_index: dict[tuple[int, int], int]
-    mention_doc_spans: list[tuple[int, int]]    # per mention node id, document-level
-    entity_mention_nodes: list[list[int]]       # per entity id
+    heads: np.ndarray                           # (P,) head entity id per pair
+    tails: np.ndarray                           # (P,) tail entity id per pair
+    instances: IntraInstances                   # co-occurrences; intra pairs have some
+    mention_means: np.ndarray                   # (mention nodes, tokens) span averages
+    entity_means: np.ndarray                    # (entities, nodes) mention-node averages
     gold: dict[tuple[int, int], list[int]]      # (h, t) -> relation ids
 
 
@@ -47,20 +49,25 @@ def prepare_document(doc: Document, vocab: Vocabulary,
     offsets = doc.sentence_offsets()
     graph = build_mention_graph(doc)
     pairs = enumerate_entity_pairs(doc)
-    spans = []
+    heads, tails = np.array([(p.head, p.tail) for p in pairs], dtype=np.int64).reshape(-1, 2).T
+    spans, owners = [], []
     for node in graph.nodes[:len(graph.mention_nodes)]:
         eid, mi, sid = node.payload
         m = doc.entities[eid].mentions[mi]
         spans.append((offsets[sid] + m.start, offsets[sid] + m.end))
-    entity_nodes = [graph.entity_mention_node_ids(e.id) for e in doc.entities]
+        owners.append(eid)
+    entity_means = np.zeros((len(doc.entities), graph.n_nodes))  # zero on non-mention nodes
+    entity_means[owners, np.arange(len(owners))] = 1.0
+    entity_means /= np.maximum(entity_means.sum(axis=1, keepdims=True), 1.0)
     gold: dict[tuple[int, int], list[int]] = {}
     for f in doc.facts:
         gold.setdefault((f.head, f.tail), []).append(f.relation)
     return DocFeatures(
-        doc=doc, sent_feats=sent_feats, doc_feats=doc_feats, sent_offsets=offsets,
+        doc=doc, sent_feats=sent_feats, doc_feats=doc_feats,
         graph=graph, agg=aggregation_matrices(graph), pairs=pairs,
         pair_index={(p.head, p.tail): i for i, p in enumerate(pairs)},
-        mention_doc_spans=spans, entity_mention_nodes=entity_nodes, gold=gold)
+        heads=heads, tails=tails, instances=intra_instances(doc, heads, tails),
+        mention_means=span_means(spans, len(doc_feats)), entity_means=entity_means, gold=gold)
 
 
 class DropoutState:
@@ -145,7 +152,10 @@ class DocForward:
     """Forward results for one document over a chosen pair subset."""
 
     pairs: list[EntityPair]
-    reps_pre: list[PairRepresentation]   # pre-reasoning, with attention provenance
+    reps_pre: Tensor                     # (P, 3d) pre-reasoning, in pair order
+    intra: IntraRoute | None             # intra block, with the attention of every instance
+    inter: InterRoute | None             # inter block, with the evidence of every pair
+    block_row: np.ndarray                # (P,) row of each pair in [intra block; inter block]
     pool_input: Tensor                   # (P, 3d) matrix entering the last reasoning layer
     reps_post: Tensor                    # (P, 3d) matrix after reasoning (== pool when disabled)
     gamma: np.ndarray | None             # (P, P) attention of the last reasoning layer
@@ -214,10 +224,8 @@ class RelationModel:
         """Graph node start values: mention nodes from their document-level token
         means, sentence nodes from the sentence summaries, the document node from
         the document summary. Inputs are already projected to the model width."""
-        rows = [intra_mod.mention_span_rep(g_doc, span) for span in feats.mention_doc_spans]
-        rows.extend(sent_summaries)
-        rows.append(d_doc)
-        return ad.stack(rows)
+        mentions = ad.matmul(ad.constant(feats.mention_means), g_doc)
+        return ad.concat([mentions, ad.stack(sent_summaries + [d_doc])], axis=0)
 
     def forward(self, feats: DocFeatures, pairs: list[EntityPair] | None = None,
                 dropout: DropoutState = _NO_DROPOUT) -> DocForward:
@@ -234,48 +242,35 @@ class RelationModel:
             sent_states.append(dropout.apply(self._project(g), ("sent", sid)))
             sent_summaries.append(self._project(summary))
 
-        route_inter = [
-            p for p in pairs
-            if p.kind is PairKind.INTER or cfg.inter4intra
-        ]
-        node_m = None
-        if route_inter:
+        rows = (np.arange(len(pairs)) if pairs is feats.pairs else
+                np.array([feats.pair_index[(p.head, p.tail)] for p in pairs], dtype=np.int64))
+        routed_intra = np.isin(rows, feats.instances.pair) & (not cfg.inter4intra)
+        intra_pos, inter_pos = np.flatnonzero(routed_intra), np.flatnonzero(~routed_intra)
+        intra = inter = None
+        if intra_pos.size:
+            intra = intra_mod.intra_pair_rep(
+                feats.instances.select(rows[intra_pos]), sent_states, self.w_intra.tensor,
+                cfg.topk, cfg.beta, average=cfg.intra_average)
+        if inter_pos.size:
             g_doc, d_doc = encode_document(embed_tokens(feats.doc_feats, self.embeddings),
                                            self.doc_encoder)
             g_doc = dropout.apply(self._project(g_doc), ("doc",))
             h0 = self.initial_node_states(feats, g_doc, sent_summaries, self._project(d_doc))
             states = propagate(h0, feats.agg, self.rgcn)
             node_m = node_final_rep(states, self.rgcn.w_u)
+            entities = ad.matmul(ad.constant(feats.entity_means), node_m)
+            sel = rows[inter_pos]
+            inter = inter_mod.inter_pair_rep(
+                ad.take_rows(entities, feats.heads[sel]), ad.take_rows(entities, feats.tails[sel]),
+                ad.take_rows(node_m, feats.graph.sentence_nodes), self.w_evidence.tensor)
 
-        sent_node_ids = feats.graph.sentence_nodes
-        m_sentences = None
-        entity_cache: dict[int, Tensor] = {}
-
-        def entity_vec(eid: int) -> Tensor:
-            if eid not in entity_cache:
-                entity_cache[eid] = entity_rep(feats.entity_mention_nodes[eid], node_m)
-            return entity_cache[eid]
-
-        reps_pre: list[PairRepresentation] = []
-        for p in pairs:
-            if p.kind is PairKind.INTRA and not cfg.inter4intra:
-                rep = intra_mod.intra_pair_rep(
-                    p, doc, sent_states, self.w_intra.tensor, cfg.topk, cfg.beta,
-                    average=cfg.intra_average)
-            else:
-                if m_sentences is None:
-                    m_sentences = ad.take_rows(node_m, np.asarray(sent_node_ids))
-                rep = inter_mod.inter_pair_rep(
-                    p, entity_vec(p.head), entity_vec(p.tail), m_sentences,
-                    self.w_evidence.tensor, kind=p.kind)
-            if cfg.no_context:
-                dm = cfg.model_width
-                kept = ad.narrow(rep.vector, 0, 2 * dm)
-                rep.vector = ad.concat([kept, ad.constant(np.zeros(dm))], axis=-1)
-            reps_pre.append(rep)
-
-        pool = ad.stack([r.vector for r in reps_pre])
-        pool_input = pool
+        block_row = np.argsort(np.concatenate([intra_pos, inter_pos]))
+        blocks = [route.vectors for route in (intra, inter) if route is not None]
+        reps_pre = ad.take_rows(ad.concat(blocks, axis=0), block_row)
+        if cfg.no_context:
+            dm = cfg.model_width
+            reps_pre = reps_pre * ad.constant(np.repeat([1.0, 0.0], [2 * dm, dm]))
+        pool = pool_input = reps_pre
         gamma = None
         candidates = None
         if not cfg.no_reasoning:
@@ -284,8 +279,9 @@ class RelationModel:
                 pool_input = pool
                 pool, gamma = reasoning_update(pool, candidates, self.w_att.tensor)
         probs = relation_probabilities(pool, self.classifier, dropout, ("cls",))
-        return DocForward(pairs=pairs, reps_pre=reps_pre, pool_input=pool_input,
-                          reps_post=pool, gamma=gamma, candidates=candidates, probs=probs)
+        return DocForward(pairs=pairs, reps_pre=reps_pre, intra=intra, inter=inter,
+                          block_row=block_row, pool_input=pool_input, reps_post=pool,
+                          gamma=gamma, candidates=candidates, probs=probs)
 
     def gold_targets(self, feats: DocFeatures, pairs: list[EntityPair]) -> np.ndarray:
         y = np.zeros((len(pairs), self.vocab.n_relations))

@@ -14,18 +14,15 @@ BLOCK = 1 << 14
 
 
 class Parameter:
-    """Named leaf tensor with per-parameter optimizer state."""
+    """Named leaf tensor; the optimizer keeps its own state."""
 
-    __slots__ = ("name", "tensor", "m", "v", "step")
+    __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, values: np.ndarray):
         self.name = name
         # C order, so the optimizer's flat views write through to the stored weights
         self.tensor = Tensor(np.asarray(values, dtype=default_dtype(), order="C"),
                              requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
-        self.step = 0
 
     @property
     def data(self) -> np.ndarray:
@@ -43,7 +40,7 @@ class Parameter:
 
 
 class AdamW:
-    """AdamW with the decay term subtracted directly, not folded into the gradient."""
+    """AdamW with the decay term subtracted directly; owns moments ``m``, ``v`` and step ``t``."""
 
     def __init__(self, params: Iterable[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -61,6 +58,10 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
+        # np.zeros leaves the pages untouched until the first step writes them
+        self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.t = 0
 
     def step(self) -> None:
         """Update ``m``, ``v`` and the weights in place, ``BLOCK`` elements at a time.
@@ -71,10 +72,10 @@ class AdamW:
         """
         b1, b2 = self.betas
         lr, eps, wd = self.lr, self.eps, self.weight_decay
-        for p in self.params:
-            p.step += 1
-            c1, c2 = 1.0 - b1 ** p.step, 1.0 - b2 ** p.step
-            w, m, v = p.data.reshape(-1), p.m.reshape(-1), p.v.reshape(-1)
+        self.t += 1
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, p_m, p_v in zip(self.params, self.m, self.v):
+            w, m, v = p.data.reshape(-1), p_m.reshape(-1), p_v.reshape(-1)
             # a missing gradient is read as zeros through a stride-0 view, not allocated
             g = (p.grad.reshape(-1) if p.grad is not None
                  else np.broadcast_to(w.dtype.type(0), w.shape))

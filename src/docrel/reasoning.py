@@ -47,10 +47,12 @@ def reasoning_update(reps: Tensor, candidates: list[np.ndarray],
         raise ShapeError(f"reasoning_update: weight {w_att.shape}, expected {(width, width)}")
     if len(candidates) != n:
         raise ShapeError(f"reasoning_update: {len(candidates)} candidate sets for {n} pairs")
+    # one scatter opens each row's diagonal cell and its candidate cells
+    sizes = np.fromiter(map(len, candidates), np.int64, n)
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), sizes)])
+    cols = np.concatenate([np.arange(n), *candidates])
     mask = np.full((n, n), -np.inf)
-    for i, cand in enumerate(candidates):
-        mask[i, i] = 0.0
-        mask[i, cand] = 0.0
+    mask[rows, cols] = 0.0
     queries = ad.linear(reps, w_att)
     scores = ad.matmul(queries, ad.transpose(reps)) + ad.constant(mask)
     gamma = ad.softmax(scores)

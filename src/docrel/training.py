@@ -108,10 +108,8 @@ def predict_documents(model: RelationModel, features: list[DocFeatures],
         # the forward graph of a document is released before the next forward
         out = model.forward(feats)
         n_pairs, n_rel = out.probs.shape
-        heads = np.array([p.head for p in out.pairs], dtype=np.int64)
-        tails = np.array([p.tail for p in out.pairs], dtype=np.int64)
         return (np.full(n_pairs * n_rel, feats.doc.title, dtype=object),
-                np.repeat(heads, n_rel), np.repeat(tails, n_rel),
+                np.repeat(feats.heads, n_rel), np.repeat(feats.tails, n_rel),
                 np.tile(np.arange(n_rel, dtype=np.int64), n_pairs), out.probs.data.ravel())
 
     blocks = [tuple(np.empty(0, dtype=d) for d in _COLUMN_DTYPES)]

@@ -179,8 +179,8 @@ def test_criterion_4_intra_locality():
     for doc in docs:
         feats = prepare_document(doc, vocab)
         out = model.forward(feats)
-        base = {(r.head, r.tail): r.vector.data.copy()
-                for r in out.reps_pre if r.kind is PairKind.INTRA}
+        base = {(p.head, p.tail): out.reps_pre.data[i].copy()
+                for i, p in enumerate(out.pairs) if p.kind is PairKind.INTRA}
         for (h, t), before in base.items():
             pair = feats.pairs[feats.pair_index[(h, t)]]
             keep = set(pair.co_occur_sentences)
@@ -190,8 +190,8 @@ def test_criterion_4_intra_locality():
                  for sid, s in enumerate(doc.sentences)],
                 doc.entities, doc.facts)
             out2 = model.forward(prepare_document(edited, vocab))
-            after = next(r.vector.data for r in out2.reps_pre
-                         if (r.head, r.tail) == (h, t))
+            after = next(out2.reps_pre.data[i] for i, p in enumerate(out2.pairs)
+                         if (p.head, p.tail) == (h, t))
             worst = max(worst, float(np.abs(before - after).max()))
             pairs_checked += 1
     ok = worst <= 1e-12 and pairs_checked > 0

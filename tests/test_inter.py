@@ -5,11 +5,12 @@ import pytest
 
 from docrel import autodiff as ad
 from docrel.autodiff import Tensor
-from docrel.corpus import Document, Entity, EntityPair, Mention, PairKind
+from docrel.corpus import Document, Entity, Mention, build_vocabulary
 from docrel.errors import ShapeError
 from docrel.graph import EdgeKind, build_mention_graph
-from docrel.inter import (RgcnParams, aggregation_matrices, entity_rep, evidence_weights,
-                          inter_pair_rep, node_final_rep, propagate, rgcn_layer)
+from docrel.inter import (RgcnParams, aggregation_matrices, evidence_weights, inter_pair_rep,
+                          node_final_rep, propagate, rgcn_layer)
+from docrel.model import prepare_document
 from docrel.optim import Parameter
 from gen import random_document
 
@@ -120,20 +121,33 @@ def test_node_final_rep_width_mismatch():
         node_final_rep(states, Parameter("wu", np.zeros((2, 6))))
 
 
-def test_entity_rep_mean_and_identity():
-    m = Tensor(np.array([[2.0, 0.0], [0.0, 2.0], [5.0, 5.0]]))
-    np.testing.assert_allclose(entity_rep([0, 1], m).data, [1.0, 1.0])
-    np.testing.assert_allclose(entity_rep([2], m).data, [5.0, 5.0])
+def test_entity_means_mean_and_identity():
+    doc = Document(
+        "e", [["a", "b"], ["c"]],
+        [Entity(0, "T", [Mention(0, 0, 1, "a"), Mention(1, 0, 1, "c")]),
+         Entity(1, "T", [Mention(0, 1, 2, "b")])],
+        [])
+    feats = prepare_document(doc, build_vocabulary([doc]))
+    node = feats.graph.mention_nodes
+    m = np.full((feats.graph.n_nodes, 2), 100.0)  # sentence and document rows must not count
+    m[node[(0, 0)]], m[node[(0, 1)]], m[node[(1, 0)]] = [2.0, 0.0], [0.0, 2.0], [5.0, 5.0]
+    entities = feats.entity_means @ m
+    np.testing.assert_allclose(entities[0], [1.0, 1.0])
+    np.testing.assert_array_equal(entities[1], [5.0, 5.0])
 
 
-def test_entity_rep_matches_loop_sum_oracle():
+def test_entity_means_match_loop_sum_oracle():
     rng = np.random.default_rng(4)
-    m = rng.normal(size=(6, 3))
-    ids = [0, 2, 3, 4, 5]
-    acc = np.zeros(3)
-    for i in ids:
-        acc += m[i]
-    np.testing.assert_allclose(entity_rep(ids, Tensor(m)).data, acc / len(ids), atol=1e-12)
+    for _ in range(5):
+        doc = random_document(rng, max_sentences=3, max_entities=4, max_mentions=8)
+        feats = prepare_document(doc, build_vocabulary([doc]))
+        m = rng.normal(size=(feats.graph.n_nodes, 3))
+        for e in doc.entities:
+            ids = [nid for (eid, _), nid in feats.graph.mention_nodes.items() if eid == e.id]
+            acc = np.zeros(3)
+            for i in ids:
+                acc += m[i]
+            np.testing.assert_allclose((feats.entity_means @ m)[e.id], acc / len(ids), atol=1e-12)
 
 
 def test_evidence_zero_weights_uniform():
@@ -172,37 +186,47 @@ def test_evidence_weight_shape_check():
 
 
 def test_inter_rep_uniform_alpha_over_identical_rows():
-    pair = EntityPair(0, 1, PairKind.INTER, [])
     v = np.array([1.5, -0.5])
     m = Tensor(np.stack([v, v, v]))
     w = Tensor(np.zeros((1, 6)))
-    rep = inter_pair_rep(pair, Tensor(np.zeros(2)), Tensor(np.ones(2)), m, w)
-    np.testing.assert_allclose(rep.vector.data[4:], v, atol=1e-9)
+    rep = inter_pair_rep(Tensor(np.zeros(2)), Tensor(np.ones(2)), m, w)
+    np.testing.assert_allclose(rep.vectors.data[4:], v, atol=1e-9)
 
 
 def test_inter_rep_one_hot_selection():
-    pair = EntityPair(0, 1, PairKind.INTER, [])
     m_rows = np.array([[-4.0, 4.0], [7.0, -3.0], [-4.0, 4.0]])
     # logits: sentence 1 large positive, sentences 0 and 2 large negative
     w = Tensor(np.concatenate([np.zeros(4), np.array([5.0, -5.0])]).reshape(1, 6))
-    rep = inter_pair_rep(pair, Tensor(np.zeros(2)), Tensor(np.zeros(2)), Tensor(m_rows), w)
-    np.testing.assert_allclose(rep.vector.data[4:], m_rows[1], rtol=1e-3)
+    rep = inter_pair_rep(Tensor(np.zeros(2)), Tensor(np.zeros(2)), Tensor(m_rows), w)
+    np.testing.assert_allclose(rep.vectors.data[4:], m_rows[1], rtol=1e-3)
 
 
 def test_inter_rep_composition_oracle():
     rng = np.random.default_rng(6)
-    pair = EntityPair(2, 0, PairKind.INTER, [])
     head, tail = rng.normal(size=3), rng.normal(size=3)
     m = rng.normal(size=(4, 3))
     w = rng.normal(size=(1, 9))
-    rep = inter_pair_rep(pair, Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
+    rep = inter_pair_rep(Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
     scores = 1 / (1 + np.exp(-np.array(
         [w[0] @ np.concatenate([head, tail, m[k]]) for k in range(4)])))
     alpha = scores / (1e-12 + scores.sum())
-    np.testing.assert_allclose(rep.vector.data,
+    np.testing.assert_allclose(rep.vectors.data,
                                np.concatenate([head, tail, alpha @ m]), atol=1e-9)
-    np.testing.assert_allclose(rep.provenance.alpha, alpha, atol=1e-9)
-    assert rep.kind is PairKind.INTER
+    np.testing.assert_allclose(rep.alpha, alpha, atol=1e-9)
+
+
+def test_batched_rows_equal_single_pair_calls():
+    rng = np.random.default_rng(12)
+    heads, tails = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    m = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(1, 9)))
+    batch = inter_pair_rep(Tensor(heads), Tensor(tails), m, w)
+    assert batch.vectors.shape == (5, 9) and batch.alpha.shape == batch.scores.shape == (5, 4)
+    for i in range(5):
+        one = inter_pair_rep(Tensor(heads[i]), Tensor(tails[i]), m, w)
+        np.testing.assert_allclose(batch.vectors.data[i], one.vectors.data, atol=1e-12)
+        np.testing.assert_allclose(batch.scores[i], one.scores, atol=1e-12)
+        np.testing.assert_allclose(batch.alpha[i], one.alpha, atol=1e-12)
 
 
 def test_context_is_convex_combination():
@@ -212,10 +236,9 @@ def test_context_is_convex_combination():
         m = rng.normal(size=(int(rng.integers(1, 6)), 3))
         head, tail = rng.normal(size=3), rng.normal(size=3)
         w = rng.normal(size=(1, 9))
-        pair = EntityPair(0, 1, PairKind.INTER, [])
-        rep = inter_pair_rep(pair, Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
-        c = rep.vector.data[6:]
-        slack = (1.0 - rep.provenance.alpha.sum()) * np.abs(m).max() + 1e-9
+        rep = inter_pair_rep(Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
+        c = rep.vectors.data[6:]
+        slack = (1.0 - rep.alpha.sum()) * np.abs(m).max() + 1e-9
         assert np.all(c >= m.min(axis=0) - slack)
         assert np.all(c <= m.max(axis=0) + slack)
 

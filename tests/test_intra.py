@@ -6,7 +6,8 @@ import pytest
 from docrel.autodiff import Tensor
 from docrel.corpus import Document, Entity, EntityPair, Mention, PairKind
 from docrel.errors import ContractError, ShapeError
-from docrel.intra import context_attention, intra_pair_rep, mention_span_rep, topk_context
+from docrel.intra import (context_attention, intra_instances, intra_pair_rep, span_means,
+                          topk_context)
 
 
 def enc_of(rows):
@@ -14,31 +15,33 @@ def enc_of(rows):
     return Tensor(np.asarray(rows, dtype=float))
 
 
+def span_mean(rows, span):
+    """Mean of rows[s:t] through the span-averaging matrix."""
+    rows = np.asarray(rows, dtype=float)
+    return (span_means([span], len(rows)) @ rows)[0]
+
+
 def test_single_token_span_is_identity():
-    enc = enc_of([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(mention_span_rep(enc, (1, 2)).data, [3.0, 4.0])
+    np.testing.assert_array_equal(span_mean([[1.0, 2.0], [3.0, 4.0]], (1, 2)), [3.0, 4.0])
 
 
 def test_two_row_mean():
-    enc = enc_of([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(mention_span_rep(enc, (0, 2)).data, [0.5, 0.5])
+    np.testing.assert_allclose(span_mean([[1.0, 0.0], [0.0, 1.0]], (0, 2)), [0.5, 0.5])
 
 
 def test_span_mean_matches_loop_sum_oracle():
     rng = np.random.default_rng(0)
     rows = rng.normal(size=(7, 4))
-    enc = enc_of(rows)
     s, t = 2, 6
     acc = np.zeros(4)
     for k in range(s, t):
         acc += rows[k]
-    np.testing.assert_allclose(mention_span_rep(enc, (s, t)).data, acc / (t - s), atol=1e-12)
+    np.testing.assert_allclose(span_mean(rows, (s, t)), acc / (t - s), atol=1e-12)
 
 
 def test_empty_span_rejected():
-    enc = enc_of([[1.0, 2.0]])
     with pytest.raises(ContractError):
-        mention_span_rep(enc, (1, 1))
+        span_mean([[1.0, 2.0]], (1, 1))
 
 
 def test_zero_weight_attention_is_uniform():
@@ -108,6 +111,23 @@ def test_topk_degrades_when_k_exceeds_n():
     assert len(idx) == 2
 
 
+def test_batched_attention_rows_equal_single_instance_calls():
+    rng = np.random.default_rng(11)
+    enc = enc_of(rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(3, 6)))
+    heads, tails = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    scores, alpha = context_attention(Tensor(heads), Tensor(tails), enc, w)
+    c, idx = topk_context(enc, alpha, k=2, beta=0.8)
+    assert scores.shape == alpha.shape == (4, 5) and c.shape == (4, 3) and idx.shape == (4, 2)
+    for i in range(4):
+        s_i, a_i = context_attention(Tensor(heads[i]), Tensor(tails[i]), enc, w)
+        c_i, idx_i = topk_context(enc, a_i, k=2, beta=0.8)
+        np.testing.assert_allclose(scores.data[i], s_i.data, atol=1e-12)
+        np.testing.assert_allclose(alpha.data[i], a_i.data, atol=1e-12)
+        np.testing.assert_allclose(c.data[i], c_i.data, atol=1e-12)
+        np.testing.assert_array_equal(idx[i], idx_i)
+
+
 def intra_doc():
     return Document(
         "intra", [["h0", "f", "t0", "f2"], ["h1", "t1", "pad"], ["junk", "junk2"]],
@@ -120,6 +140,16 @@ def encode_all(doc, rng, d=4):
     return [enc_of(rng.normal(size=(len(s), d))) for s in doc.sentences]
 
 
+def table_of(doc, pairs):
+    """The co-occurrence instances of (head, tail) pairs."""
+    return intra_instances(doc, np.array([h for h, _ in pairs]), np.array([t for _, t in pairs]))
+
+
+def pair_route(doc, pair, encs, w, **kw):
+    """The intra route over the co-occurrence instances of one pair."""
+    return intra_pair_rep(table_of(doc, [(pair.head, pair.tail)]), encs, w, **kw)
+
+
 def test_intra_single_instance_is_plain_concat():
     doc = Document(
         "one", [["h", "x", "t"]],
@@ -129,13 +159,13 @@ def test_intra_single_instance_is_plain_concat():
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
     pair = EntityPair(0, 1, PairKind.INTRA, [0])
-    rep = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9)
+    rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
     e_h = encs[0].data[0]
     e_t = encs[0].data[2]
-    np.testing.assert_allclose(rep.vector.data[:4], e_h, atol=1e-12)
-    np.testing.assert_allclose(rep.vector.data[4:8], e_t, atol=1e-12)
-    assert rep.vector.shape == (12,)
-    assert len(rep.provenance) == 1
+    np.testing.assert_allclose(rep.vectors.data[0, :4], e_h, atol=1e-12)
+    np.testing.assert_allclose(rep.vectors.data[0, 4:8], e_t, atol=1e-12)
+    assert rep.vectors.shape == (1, 12)
+    assert rep.instances.pair.size == 1
 
 
 def test_intra_mean_of_identical_sentences_collapses():
@@ -149,10 +179,13 @@ def test_intra_mean_of_identical_sentences_collapses():
     encs = [enc_of(rows.copy()), enc_of(rows.copy())]
     w = Tensor(rng.normal(size=(4, 8)))
     pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
-    rep = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9)
-    single = intra_pair_rep(EntityPair(0, 1, PairKind.INTRA, [0]), doc, encs, w, k=2, beta=0.9)
-    np.testing.assert_allclose(rep.vector.data, single.vector.data, atol=1e-12)
-    assert len(rep.provenance) == 2
+    rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
+    first_only = Document("first", doc.sentences[:1],
+                          [Entity(e.id, e.type, e.mentions[:1]) for e in doc.entities], [])
+    single = pair_route(first_only, EntityPair(0, 1, PairKind.INTRA, [0]), encs[:1], w,
+                        k=2, beta=0.9)
+    np.testing.assert_allclose(rep.vectors.data, single.vectors.data, atol=1e-12)
+    assert rep.instances.pair.size == 2
 
 
 def test_intra_instance_enumeration_oracle():
@@ -166,7 +199,7 @@ def test_intra_instance_enumeration_oracle():
     encs = encode_all(doc, rng)
     w_values = rng.normal(size=(4, 8))
     pair = EntityPair(0, 1, PairKind.INTRA, [0])
-    rep = intra_pair_rep(pair, doc, encs, Tensor(w_values), k=2, beta=0.9)
+    rep = pair_route(doc, pair, encs, Tensor(w_values), k=2, beta=0.9)
 
     # explicit enumeration with plain numpy
     g = encs[0].data
@@ -181,9 +214,9 @@ def test_intra_instance_enumeration_oracle():
         idx = np.sort(order[:2])
         c = 0.9 * g[idx].mean(axis=0) + 0.1 * (alpha @ g)
         vectors.append(np.concatenate([e_h, e_t, c]))
-    np.testing.assert_allclose(rep.vector.data, np.mean(vectors, axis=0), atol=1e-9)
-    assert len(rep.provenance) == 2
-    assert all(len(ctx.topk) == 2 for ctx in rep.provenance)
+    np.testing.assert_allclose(rep.vectors.data[0], np.mean(vectors, axis=0), atol=1e-9)
+    assert rep.instances.pair.size == 2
+    assert rep.topk.shape == (2, 2) and (rep.topk >= 0).all()
 
 
 def test_intra_alpha_sums_to_one_and_topk_cardinality():
@@ -192,10 +225,10 @@ def test_intra_alpha_sums_to_one_and_topk_cardinality():
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
     pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
-    rep = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9)
-    for ctx in rep.provenance:
-        assert abs(ctx.alpha.sum() - 1.0) < 1e-6
-        assert len(ctx.topk) == min(2, len(doc.sentences[ctx.sentence_id]))
+    rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
+    for sid, alpha, topk in zip(rep.instances.sentence, rep.alpha, rep.topk):
+        assert abs(alpha.sum() - 1.0) < 1e-6
+        assert (topk >= 0).sum() == min(2, len(doc.sentences[sid]))
 
 
 def test_intra_locality_under_edits_to_other_sentences():
@@ -204,10 +237,10 @@ def test_intra_locality_under_edits_to_other_sentences():
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
     pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
-    before = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9).vector.data.copy()
+    before = pair_route(doc, pair, encs, w, k=2, beta=0.9).vectors.data.copy()
     # arbitrary edits to the non-co-occurred sentence 2
     encs[2] = enc_of(rng.normal(size=(2, 4)) * 100.0)
-    after = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9).vector.data
+    after = pair_route(doc, pair, encs, w, k=2, beta=0.9).vectors.data
     assert np.abs(before - after).max() <= 1e-12
 
 
@@ -241,21 +274,40 @@ def test_nested_averaging_weights_sentences_equally():
 
     s0 = instance_vectors(0, [((0, 1), (2, 3)), ((1, 2), (2, 3))])
     s1 = instance_vectors(1, [((0, 1), (1, 2))])
-    flat = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9, average="flat")
-    nested = intra_pair_rep(pair, doc, encs, w, k=2, beta=0.9, average="nested")
-    np.testing.assert_allclose(flat.vector.data, np.mean(s0 + s1, axis=0), atol=1e-9)
-    np.testing.assert_allclose(
-        nested.vector.data, (np.mean(s0, axis=0) + np.mean(s1, axis=0)) / 2, atol=1e-9)
-    assert not np.allclose(flat.vector.data, nested.vector.data)
+    flat = pair_route(doc, pair, encs, w, k=2, beta=0.9, average="flat").vectors.data[0]
+    nested = pair_route(doc, pair, encs, w, k=2, beta=0.9, average="nested").vectors.data[0]
+    np.testing.assert_allclose(flat, np.mean(s0 + s1, axis=0), atol=1e-9)
+    np.testing.assert_allclose(nested, (np.mean(s0, axis=0) + np.mean(s1, axis=0)) / 2, atol=1e-9)
+    assert not np.allclose(flat, nested)
 
 
 def test_intra_requires_co_occurrence():
-    doc = intra_doc()
+    doc = Document(
+        "apart", [["h", "x"], ["t", "y"]],
+        [Entity(0, "A", [Mention(0, 0, 1, "h")]), Entity(1, "B", [Mention(1, 0, 1, "t")])],
+        [])
     rng = np.random.default_rng(9)
     encs = encode_all(doc, rng)
     w = Tensor(np.zeros((4, 8)))
-    ghost = EntityPair(0, 1, PairKind.INTRA, [2])  # no mentions in sentence 2
     with pytest.raises(ContractError):
-        intra_pair_rep(ghost, doc, encs, w, k=2, beta=0.9)
+        pair_route(doc, EntityPair(0, 1, PairKind.INTER, []), encs, w, k=2, beta=0.9)
+    # an intra pair selected next to one without instances
+    table = table_of(intra_doc(), [(0, 1), (1, 0)])
     with pytest.raises(ContractError):
-        intra_pair_rep(EntityPair(0, 1, PairKind.INTER, []), doc, encs, w, k=2, beta=0.9)
+        intra_pair_rep(table.select([0, 2]), encode_all(intra_doc(), rng), w, k=2, beta=0.9)
+
+
+def test_instance_table_order_and_selection():
+    doc = intra_doc()
+    table = table_of(doc, [(0, 1), (1, 0)])
+    # pair by pair, then by sentence; spans are sentence-level, padded to the longest sentence
+    np.testing.assert_array_equal(table.pair, [0, 0, 1, 1])
+    np.testing.assert_array_equal(table.sentence, [0, 1, 0, 1])
+    np.testing.assert_array_equal(table.head_means, span_means([(0, 1), (0, 1), (2, 3), (1, 2)], 4))
+    np.testing.assert_array_equal(table.tail_means, span_means([(2, 3), (1, 2), (0, 1), (0, 1)], 4))
+    picked = table.select([1, 0, 1])
+    assert picked.n_pairs == 3
+    np.testing.assert_array_equal(picked.pair, [0, 0, 1, 1, 2, 2])
+    for name in ("sentence", "head_means", "tail_means"):
+        np.testing.assert_array_equal(getattr(picked, name),
+                                      getattr(table, name)[[2, 3, 0, 1, 2, 3]])

@@ -113,11 +113,12 @@ def test_forward_shapes_and_kinds(small_world):
     assert out.probs.shape == (n_pairs, vocab.n_relations)
     assert out.reps_post.shape == (n_pairs, 3 * 8)
     assert np.all(out.probs.data >= 0) and np.all(out.probs.data <= 1)
-    for rep in out.reps_pre:
-        assert rep.vector.shape == (3 * 8,)
-    kinds = {(p.head, p.tail): p.kind for p in feats.pairs}
-    for rep in out.reps_pre:
-        assert rep.kind == kinds[(rep.head, rep.tail)]
+    assert out.reps_pre.shape == (n_pairs, 3 * 8)
+    # intra pairs take the first rows of the route blocks, inter pairs the rest
+    routed_intra = out.block_row < out.intra.vectors.shape[0]
+    np.testing.assert_array_equal(routed_intra, [p.kind is PairKind.INTRA for p in out.pairs])
+    assert out.inter.vectors.shape[0] == n_pairs - routed_intra.sum()
+    np.testing.assert_array_equal(np.sort(out.block_row), np.arange(n_pairs))
 
 
 def test_projection_created_only_when_widths_differ(small_world):
@@ -148,8 +149,7 @@ def test_no_reasoning_flag_bypasses_update(small_world):
     model = RelationModel(toy_config(no_reasoning=True), vocab)
     out = model.forward(feats)
     assert out.gamma is None
-    np.testing.assert_array_equal(out.reps_post.data,
-                                  np.stack([r.vector.data for r in out.reps_pre]))
+    np.testing.assert_array_equal(out.reps_post.data, out.reps_pre.data)
 
 
 def test_no_context_zeroes_last_third(small_world):
@@ -169,13 +169,11 @@ def test_inter4intra_routes_all_pairs_through_graph(small_world):
     feats = prepare_document(docs[0], vocab)
     model = RelationModel(toy_config(inter4intra=True), vocab)
     out = model.forward(feats)
-    from docrel.reps import EvidenceDistribution
-    assert all(isinstance(r.provenance, EvidenceDistribution) for r in out.reps_pre)
+    assert out.intra is None
+    assert out.inter.alpha.shape == (len(feats.pairs), len(docs[0].sentences))
     # metric routing is untouched
-    kinds = {(p.head, p.tail): p.kind for p in feats.pairs}
-    assert any(k is PairKind.INTRA for k in kinds.values())
-    for rep in out.reps_pre:
-        assert rep.kind == kinds[(rep.head, rep.tail)]
+    assert any(p.kind is PairKind.INTRA for p in out.pairs)
+    assert [p.kind for p in out.pairs] == [p.kind for p in feats.pairs]
 
 
 def test_forward_deterministic_without_dropout(small_world):
@@ -221,15 +219,19 @@ def test_node_initialization_contract(small_world):
     h0 = model.initial_node_states(feats, Tensor(g_doc),
                                    [Tensor(s) for s in summaries], Tensor(d_doc)).data
     n_mentions = len(feats.graph.mention_nodes)
-    for node_id, (s, t) in enumerate(feats.mention_doc_spans):
-        np.testing.assert_allclose(h0[node_id], g_doc[s:t].mean(axis=0), atol=1e-12)
+    offsets = docs[0].sentence_offsets()
+    for node in feats.graph.nodes[:n_mentions]:
+        eid, mi, sid = node.payload
+        m = docs[0].entities[eid].mentions[mi]
+        s, t = offsets[sid] + m.start, offsets[sid] + m.end
+        np.testing.assert_allclose(h0[node.id], g_doc[s:t].mean(axis=0), atol=1e-12)
     for sid, node_id in enumerate(feats.graph.sentence_nodes):
         np.testing.assert_array_equal(h0[node_id], summaries[sid])
     np.testing.assert_array_equal(h0[feats.graph.document_node], d_doc)
     assert h0.shape == (n_mentions + len(docs[0].sentences) + 1, width)
 
 
-def test_mention_doc_spans_line_up(small_world):
+def test_mention_means_line_up_with_document_spans(small_world):
     rng = np.random.default_rng(11)
     doc = random_document(rng, max_sentences=4, max_entities=4, max_mentions=7)
     vocab = build_vocabulary([doc])
@@ -238,5 +240,6 @@ def test_mention_doc_spans_line_up(small_world):
     for node in feats.graph.nodes[:len(feats.graph.mention_nodes)]:
         eid, mi, sid = node.payload
         m = doc.entities[eid].mentions[mi]
-        s, t = feats.mention_doc_spans[node.id]
-        assert (s, t) == (offsets[sid] + m.start, offsets[sid] + m.end)
+        row = np.zeros(doc.n_tokens)
+        row[offsets[sid] + m.start:offsets[sid] + m.end] = 1.0 / (m.end - m.start)
+        np.testing.assert_array_equal(feats.mention_means[node.id], row)

@@ -1,5 +1,6 @@
 """AdamW against a hand-stepped recurrence and the whole-array update; checkpoint round-trips."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -17,13 +18,13 @@ from test_training import small_corpus, tiny_config
 def oracle_step(opt):
     """The whole-array AdamW update, one fresh array per operation."""
     b1, b2 = opt.betas
-    for p in opt.params:
+    opt.t += 1
+    for i, p in enumerate(opt.params):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        p.step += 1
-        p.m = b1 * p.m + (1.0 - b1) * g
-        p.v = b2 * p.v + (1.0 - b2) * (g * g)
-        m_hat = p.m / (1.0 - b1 ** p.step)
-        v_hat = p.v / (1.0 - b2 ** p.step)
+        opt.m[i] = b1 * opt.m[i] + (1.0 - b1) * g
+        opt.v[i] = b2 * opt.v[i] + (1.0 - b2) * (g * g)
+        m_hat = opt.m[i] / (1.0 - b1 ** opt.t)
+        v_hat = opt.v[i] / (1.0 - b2 ** opt.t)
         update = m_hat / (np.sqrt(v_hat) + opt.eps)
         if opt.weight_decay:
             update = update + opt.weight_decay * p.data
@@ -83,17 +84,19 @@ def test_three_steps_match_hand_computed_recurrence():
 def test_decay_is_decoupled_from_gradient():
     # zero gradient, nonzero decay: moments stay zero, value shrinks by lr*wd*theta
     p = Parameter("w", np.array(2.0))
-    AdamW([p], lr=0.1, weight_decay=0.01).step()
+    opt = AdamW([p], lr=0.1, weight_decay=0.01)
+    opt.step()
     assert p.data == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
-    assert p.m == pytest.approx(0.0) and p.v == pytest.approx(0.0)
+    assert opt.m[0] == pytest.approx(0.0) and opt.v[0] == pytest.approx(0.0)
 
 
 def test_gradients_cleared_after_step():
     p = Parameter("w", np.array([1.0]))
     p.tensor.grad = np.array([1.0])
-    AdamW([p], lr=0.01).step()
+    opt = AdamW([p], lr=0.01)
+    opt.step()
     assert p.grad is None
-    assert p.step == 1
+    assert opt.t == 1
 
 
 def test_nonpositive_lr_rejected():
@@ -113,7 +116,7 @@ def test_step_counts_are_monotone_per_parameter():
     opt = AdamW([p], lr=0.01)
     for want in (1, 2, 3):
         opt.step()
-        assert p.step == want
+        assert opt.t == want
 
 
 @pytest.mark.parametrize("shape", [(), (7, 5), (BLOCK,), (BLOCK + 1,), (3, BLOCK + 5)],
@@ -134,13 +137,13 @@ def test_step_is_bit_identical_to_the_whole_array_update(shape, weight_decay, mi
         for g in grads:
             p.tensor.grad = None if g is None else np.asarray(g, dtype=dtype)
             step(opt)
-        sides.append(p)
+        sides.append({"data": p.data, "m": opt.m[0], "v": opt.v[0], "t": opt.t, "grad": p.grad})
     got, want = sides
-    assert got.data.shape == shape
+    assert got["data"].shape == shape
     for name in ("data", "m", "v"):
-        assert getattr(got, name).dtype == dtype
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.step == want.step == 3 and got.grad is None
+        assert got[name].dtype == dtype
+        assert got[name].tobytes() == want[name].tobytes(), name
+    assert got["t"] == want["t"] == 3 and got["grad"] is None
 
 
 def test_parameter_from_a_transposed_array_moves_like_the_oracle():
@@ -165,6 +168,22 @@ def test_step_allocates_a_small_fraction_of_the_parameter():
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * p.data.nbytes
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads /proc/self/statm")
+def test_parameters_and_optimizer_leave_the_moments_unwritten_until_a_step():
+    before = resident_bytes()
+    p = Parameter("w", np.zeros((2048, 2048)))
+    opt = AdamW([p])
+    grown = resident_bytes() - before
+    # the moments are 2 x 32 MB; written zeros would all be resident
+    assert grown < 0.25 * p.data.nbytes
+    assert opt.m[0].shape == opt.v[0].shape == p.data.shape and not opt.m[0].any()
 
 
 def test_training_with_the_oracle_step_gives_identical_weights_and_losses(monkeypatch):
