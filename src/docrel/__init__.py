@@ -2,13 +2,13 @@
 encoding, a mention-level graph with relational propagation, chain-attention
 reasoning, and a self-contained numpy reverse-mode autodiff core."""
 
-from .autodiff import Tape, Tensor, backward, gradient_check
+from .autodiff import Tape, Tensor, backward
 from .config import TrainingConfig
 from .corpus import (Document, Entity, EntityPair, Mention, PairKind, RelationFact,
                      Vocabulary, build_vocabulary, enumerate_entity_pairs,
                      featurize_document, load_docred, sample_training_pairs)
 from .evaluation import EvaluationReport, compute_f1_suite, enumerate_two_hop
-from .graph import EdgeKind, MentionGraph, NodeKind, build_mention_graph, typed_neighbors
+from .graph import EdgeKind, MentionGraph, NodeKind, build_mention_graph
 from .model import RelationModel, prepare_document
 from .optim import AdamW, Parameter
 from .training import PredictionSet, calibrate_threshold, predict_documents, train_model
@@ -21,6 +21,6 @@ __all__ = [
     "RelationFact", "RelationModel", "Tape", "Tensor", "TrainingConfig", "Vocabulary",
     "backward", "build_mention_graph", "build_vocabulary", "calibrate_threshold",
     "compute_f1_suite", "enumerate_entity_pairs", "enumerate_two_hop",
-    "featurize_document", "gradient_check", "load_docred", "predict_documents",
-    "prepare_document", "sample_training_pairs", "train_model", "typed_neighbors",
+    "featurize_document", "load_docred", "predict_documents", "prepare_document",
+    "sample_training_pairs", "train_model",
 ]

@@ -14,6 +14,7 @@ keeps inference and finite-difference evaluation cheap.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,11 +23,12 @@ from .errors import ContractError, NotFoundError, ShapeError
 
 _DTYPE = np.float64
 
-_TAPE_STACK: list["Tape"] = []
+# Per thread and per asyncio task, so a forward elsewhere never lands on this tape
+_TAPE_STACK: ContextVar[tuple["Tape", ...]] = ContextVar("docrel_tape_stack", default=())
 
 # When not None, relu sign patterns and top-k index choices are appended here
 # so finite-difference harnesses can detect kink crossings.
-_TRACE: list | None = None
+_TRACE: ContextVar[list | None] = ContextVar("docrel_trace", default=None)
 
 
 def set_default_dtype(dtype) -> None:
@@ -49,13 +51,14 @@ class Tape:
         self._records: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
-        if popped is not self:
+        stack = _TAPE_STACK.get()
+        if not stack or stack[-1] is not self:
             raise ContractError("tape stack corrupted")
+        _TAPE_STACK.set(stack[:-1])
         # each recorded tensor points back at this tape; dropping the records
         # breaks that cycle, so the step's graph is freed without the cyclic GC
         self.clear()
@@ -69,7 +72,8 @@ class Tape:
 
 
 def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPE_STACK.get()
+    return stack[-1] if stack else None
 
 
 class Tensor:
@@ -456,8 +460,9 @@ def tsum(a, axis: int | None = None) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     pos = a.data > 0
-    if _TRACE is not None:
-        _TRACE.append(("relu", pos.copy()))
+    trace = _TRACE.get()
+    if trace is not None:
+        trace.append(("relu", pos.copy()))
     data = np.where(pos, a.data, 0.0)
 
     def bw(g):
@@ -554,8 +559,9 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     k = min(k, n)
     order = np.lexsort((np.arange(n), -values))
     idx = np.sort(order[:k])
-    if _TRACE is not None:
-        _TRACE.append(("topk", idx.copy()))
+    trace = _TRACE.get()
+    if trace is not None:
+        trace.append(("topk", idx.copy()))
     return idx
 
 
@@ -591,13 +597,11 @@ def backward(loss: Tensor, leaves: "Iterable[Tensor] | None" = None) -> None:
 @contextmanager
 def decision_trace():
     """Record relu sign patterns and top-k choices made during a forward pass."""
-    global _TRACE
-    prev = _TRACE
-    _TRACE = []
+    token = _TRACE.set([])
     try:
-        yield _TRACE
+        yield _TRACE.get()
     finally:
-        _TRACE = prev
+        _TRACE.reset(token)
 
 
 def _traces_equal(t1: list, t2: list) -> bool:
@@ -657,9 +661,3 @@ def check_gradients(loss_fn: Callable[[], Tensor], leaves: Iterable[Tensor], eps
             checked += 1
     return max_err, checked, skipped
 
-
-def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central-difference gradients of f at x."""
-    x.requires_grad = True
-    err, _, _ = check_gradients(lambda: f(x), [x], eps=eps)
-    return err

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,6 +102,8 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
         raise CheckpointError(f"{path}: config digest mismatch (corrupted file)")
     (meta_len,) = struct.unpack("<I", take(4))
     meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: checkpoint metadata is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -111,9 +114,12 @@ def _parse_checkpoint(blob: bytes, path) -> Checkpoint:
             raise CheckpointError(f"{path}: unknown dtype code {code}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         dtype = np.dtype(_DTYPE_CODES[code])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(take(nbytes), dtype=dtype).reshape(shape).copy()
-        arrays[name] = arr
+        # Python ints: a corrupt dims field must fail the length check, not overflow
+        values = np.frombuffer(take(math.prod(shape) * dtype.itemsize), dtype=dtype)
+        try:
+            arrays[name] = values.reshape(shape).copy()
+        except ValueError as e:  # an empty record whose other dims overflow
+            raise CheckpointError(f"{path}: impossible shape {shape} of {name!r}") from e
     if pos != len(view):
         raise CheckpointError(f"{path}: trailing bytes after records")
     return Checkpoint(arrays=arrays, config_text=config_text, meta=meta)

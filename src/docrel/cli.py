@@ -71,7 +71,8 @@ def _load_config(args) -> TrainingConfig:
     return config
 
 
-def _load_model(checkpoint_path, config_path=None) -> tuple[RelationModel, Vocabulary, dict]:
+def _load_model(checkpoint_path, config_path=None) -> tuple[RelationModel, Vocabulary, float]:
+    """The model, vocabulary and decision threshold stored in a checkpoint."""
     ckpt = load_checkpoint(checkpoint_path)
     if config_path:
         wanted = TrainingConfig.from_file(config_path).to_text()
@@ -80,10 +81,15 @@ def _load_model(checkpoint_path, config_path=None) -> tuple[RelationModel, Vocab
                 f"{checkpoint_path}: checkpoint was trained with a different config")
     config = TrainingConfig.from_mapping(
         dict(line.split(" = ", 1) for line in ckpt.config_text.strip().splitlines()))
-    vocab = Vocabulary.from_json(ckpt.meta["vocab"])
+    try:
+        vocab = Vocabulary.from_json(ckpt.meta["vocab"])
+        threshold = float(ckpt.meta.get("threshold", 0.5))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"{checkpoint_path}: no usable vocabulary or threshold "
+                              f"in the checkpoint metadata ({e!r})") from e
     model = RelationModel(config, vocab)
     model.load_state(ckpt.arrays)
-    return model, vocab, ckpt.meta
+    return model, vocab, threshold
 
 
 def _save_model(path, model: RelationModel, threshold: float) -> None:
@@ -122,11 +128,11 @@ def _cmd_eval(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("eval needs either --checkpoint or --pred")
-        model, vocab, meta = _load_model(args.checkpoint, args.config)
+        model, vocab, threshold = _load_model(args.checkpoint, args.config)
         docs = load_docred(args.data, vocab=vocab)
         overlap = args.allow_overlap or model.config.allow_overlap
         features = [prepare_document(d, vocab, overlap) for d in docs]
-        preds = predict_documents(model, features, threshold=float(meta.get("threshold", 0.5)))
+        preds = predict_documents(model, features, threshold=threshold)
     train_names = train_fact_names(load_docred(args.train, vocab=vocab)) if args.train else set()
     report = compute_f1_suite(preds, docs, train_names=train_names)
     text = report.render()
@@ -141,11 +147,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model, vocab, meta = _load_model(args.checkpoint, args.config)
+    model, vocab, threshold = _load_model(args.checkpoint, args.config)
     docs = load_docred(args.data, vocab=vocab)
     overlap = args.allow_overlap or model.config.allow_overlap
     features = [prepare_document(d, vocab, overlap) for d in docs]
-    preds = predict_documents(model, features, threshold=float(meta.get("threshold", 0.5)))
+    preds = predict_documents(model, features, threshold=threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.json", preds, vocab)
@@ -154,7 +160,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    model, vocab, meta = _load_model(args.checkpoint, args.config)
+    model, vocab, threshold = _load_model(args.checkpoint, args.config)
     docs = load_docred(args.data, vocab=vocab)
     matches = [d for d in docs if d.title == args.doc]
     if not matches:
@@ -166,8 +172,7 @@ def _cmd_explain(args) -> int:
         raise ConfigError(f"--pair expects H,T entity ids: {args.pair!r}") from e
     feats = prepare_document(matches[0], vocab,
                              args.allow_overlap or model.config.allow_overlap)
-    record = explain_pair(model, feats, head, tail,
-                          threshold=float(meta.get("threshold", 0.5)))
+    record = explain_pair(model, feats, head, tail, threshold=threshold)
     text = render_explanation(record, vocab)
     sys.stdout.write(text)
     if args.out:

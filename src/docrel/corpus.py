@@ -75,7 +75,6 @@ class EntityPair:
     head: int
     tail: int
     kind: PairKind
-    co_occur_sentences: list[int]
 
 
 @dataclass
@@ -174,7 +173,7 @@ def _record_to_document(record: dict, index: int, rel_ids: dict[str, int]) -> Do
             etype = str(mention_list[0].get("type", NONE_LABEL)) if mention_list else NONE_LABEL
             entities.append(Entity(id=eid, type=etype, mentions=mentions))
         facts = []
-        for lab in record.get("labels", []):
+        for lab in _labels_of(record, index):
             label = str(lab["r"])
             facts.append(RelationFact(
                 head=int(lab["h"]),
@@ -183,11 +182,18 @@ def _record_to_document(record: dict, index: int, rel_ids: dict[str, int]) -> Do
                 label=label,
                 evidence=[int(s) for s in lab.get("evidence", [])],
             ))
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise ParseError(f"document {index}: malformed record ({e!r})") from e
     doc = Document(title=title, sentences=sents, entities=entities, facts=facts)
     validate_document(doc)
     return doc
+
+
+def _labels_of(record: dict, index: int) -> list[dict]:
+    labels = record.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(lab, dict) for lab in labels):
+        raise ParseError(f"document {index}: labels must be a list of objects")
+    return labels
 
 
 def load_docred(path, vocab: Vocabulary | None = None) -> list[Document]:
@@ -199,32 +205,29 @@ def load_docred(path, vocab: Vocabulary | None = None) -> list[Document]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a JSON array of documents")
+    for i, record in enumerate(data):
+        if not isinstance(record, dict):
+            raise ParseError(f"document {i}: expected an object")
+    # labels missing "r" are reported by the record parser
+    found = [(i, lab["r"]) for i, record in enumerate(data)
+             for lab in _labels_of(record, i) if "r" in lab]
 
     if vocab is not None:
         rel_ids = vocab.rel2id
-        for i, record in enumerate(data):
-            for lab in record.get("labels", []) if isinstance(record, dict) else []:
-                if str(lab.get("r")) not in rel_ids:
-                    raise ValidationError(
-                        f"document {record.get('title', i)!r}: relation {lab.get('r')!r} "
-                        f"not in vocabulary")
+        for i, r in found:
+            if str(r) not in rel_ids:
+                raise ValidationError(
+                    f"document {data[i].get('title', i)!r}: relation {r!r} not in vocabulary")
     else:
-        labels = sorted({
-            str(lab["r"])
-            for record in data if isinstance(record, dict)
-            for lab in record.get("labels", [])
-        })
-        rel_ids = {label: i for i, label in enumerate(labels)}
+        rel_ids = {label: i for i, label in enumerate(sorted({str(r) for _, r in found}))}
 
     docs = []
     titles = set()
     for i, record in enumerate(data):
-        if not isinstance(record, dict):
-            raise ParseError(f"document {i}: expected an object")
         doc = _record_to_document(record, i, rel_ids)
         # evaluation keys gold facts and predictions by title
         if doc.title in titles:
@@ -305,37 +308,19 @@ def enumerate_entity_pairs(doc: Document) -> list[EntityPair]:
     """All ordered pairs (h, t), h != t, routed intra iff mentions share a sentence."""
     sent_sets = {e.id: {m.sentence_id for m in e.mentions} for e in doc.entities}
     ids = sorted(sent_sets)
-    pairs = []
-    for h in ids:
-        for t in ids:
-            if h == t:
-                continue
-            shared = sorted(sent_sets[h] & sent_sets[t])
-            kind = PairKind.INTRA if shared else PairKind.INTER
-            pairs.append(EntityPair(head=h, tail=t, kind=kind, co_occur_sentences=shared))
-    return pairs
+    return [EntityPair(h, t, PairKind.INTRA if sent_sets[h] & sent_sets[t] else PairKind.INTER)
+            for h in ids for t in ids if h != t]
 
 
-def sample_training_pairs(pairs: list[EntityPair], facts, ratio: float,
-                          rng: np.random.Generator) -> list[EntityPair]:
-    """Keep every positive pair; subsample negatives to about positives/ratio."""
+def sample_training_pairs(positive: np.ndarray, ratio: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Ascending rows to train on: every row with a gold fact (`positive`) plus
+    about positives/ratio of the others, drawn without replacement."""
     if ratio <= 0 or ratio > 1:
         raise ConfigError(f"positive/negative ratio must be in (0, 1]: {ratio}")
-    gold_pairs = set()
-    for f in facts:
-        gold_pairs.add(f if isinstance(f, tuple) else (f.head, f.tail))
-    keep = np.zeros(len(pairs), dtype=bool)
-    negatives = []
-    n_pos = 0
-    for i, p in enumerate(pairs):
-        if (p.head, p.tail) in gold_pairs:
-            keep[i] = True
-            n_pos += 1
-        else:
-            negatives.append(i)
-    want = min(len(negatives), int(round(n_pos / ratio)))
-    if want and negatives:
-        chosen = rng.choice(len(negatives), size=want, replace=False)
-        for j in chosen:
-            keep[negatives[j]] = True
-    return [p for i, p in enumerate(pairs) if keep[i]]
+    keep = np.array(positive, dtype=bool)
+    negatives = np.flatnonzero(~keep)
+    want = min(negatives.size, int(round(int(keep.sum()) / ratio)))
+    if want:
+        keep[negatives[rng.choice(negatives.size, size=want, replace=False)]] = True
+    return np.flatnonzero(keep)

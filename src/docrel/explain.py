@@ -65,14 +65,14 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
                  threshold: float = 0.5) -> ExplanationRecord:
     """Run the forward pass for one document and package the attention weights."""
     doc = feats.doc
-    idx = feats.pair_index.get((head, tail))
-    if idx is None:
+    n = len(feats.pair_rows)
+    idx = int(feats.pair_rows[head, tail]) if 0 <= head < n and 0 <= tail < n else -1
+    if idx < 0:
         raise NotFoundError(f"document {doc.title!r} has no pair ({head}, {tail})")
     out = model.forward(feats)
-    pair = out.pairs[idx]
     probs = out.probs.data[idx].copy()
     record = ExplanationRecord(
-        title=doc.title, head=head, tail=tail, kind=pair.kind, probabilities=probs,
+        title=doc.title, head=head, tail=tail, kind=feats.pairs[idx].kind, probabilities=probs,
         decisions=sorted(int(r) for r in np.nonzero(probs >= threshold)[0]),
         rep_before=out.pool_input.data[idx].copy(),
         rep_after=out.reps_post.data[idx].copy(),
@@ -106,9 +106,9 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
         record.candidate_ids = cand.copy()
         views = [ChainView(head=head, tail=tail, gamma=float(record.gamma_row[idx]), is_self=True)]
         for j in cand:
-            q = out.pairs[int(j)]
-            views.append(ChainView(head=q.head, tail=q.tail,
-                                   gamma=float(record.gamma_row[int(j)])))
+            row = out.rows[j]
+            views.append(ChainView(head=int(feats.heads[row]), tail=int(feats.tails[row]),
+                                   gamma=float(record.gamma_row[j])))
         views.sort(key=lambda v: -v.gamma)
         record.chains = views
     return record

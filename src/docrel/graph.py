@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import Document, validate_document
-from .errors import NotFoundError
 
 
 class NodeKind(Enum):
@@ -42,12 +41,6 @@ class MentionGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def counts_by_kind(self) -> dict[NodeKind, int]:
-        out = {k: 0 for k in NodeKind}
-        for n in self.nodes:
-            out[n.kind] += 1
-        return out
 
     def adjacency(self, kind: EdgeKind) -> list[list[int]]:
         """Sorted neighbor lists per node for one edge kind (computed once)."""
@@ -121,13 +114,6 @@ def build_mention_graph(doc: Document) -> MentionGraph:
     }
     return MentionGraph(nodes=nodes, edges=edges, mention_nodes=mention_nodes,
                         sentence_nodes=sentence_nodes, document_node=document_node)
-
-
-def typed_neighbors(g: MentionGraph, node: int, kind: EdgeKind) -> list[int]:
-    """Neighbors of `node` through `kind` edges, sorted by node id."""
-    if not (0 <= node < g.n_nodes):
-        raise NotFoundError(f"unknown node id {node}")
-    return list(g.adjacency(kind)[node])
 
 
 def export_edges(g: MentionGraph) -> str:

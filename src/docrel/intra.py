@@ -39,20 +39,19 @@ class IntraInstances:
                               self.sentence[ids], self.head_means[ids], self.tail_means[ids])
 
 
-def intra_instances(doc: Document, heads: np.ndarray, tails: np.ndarray) -> IntraInstances:
-    """Every co-occurrence of the mentions of pair (heads[i], tails[i]) in a sentence."""
+def intra_instances(doc: Document, pair_rows: np.ndarray) -> IntraInstances:
+    """Every co-occurrence in a sentence of the mentions of the pairs in
+    `pair_rows`, the (E, E) table of each (head, tail) pair's row, -1 where none."""
     mentions = np.array([(e.id, m.sentence_id, m.start, m.end)
                          for e in doc.entities for m in e.mentions], dtype=np.int64).reshape(-1, 4)
     entity, sentence = mentions[:, 0], mentions[:, 1]
-    row_of = np.full((len(doc.entities),) * 2, -1)
-    row_of[heads, tails] = np.arange(len(heads))
     # mention indices run entity by entity, each entity's mentions in list order
-    a, b = np.nonzero((sentence[:, None] == sentence) & (row_of[entity[:, None], entity] >= 0))
-    pair = row_of[entity[a], entity[b]]
+    a, b = np.nonzero((sentence[:, None] == sentence) & (pair_rows[entity[:, None], entity] >= 0))
+    pair = pair_rows[entity[a], entity[b]]
     order = np.lexsort((b, a, sentence[a], pair))
     a, b = a[order], b[order]
     n_max = max(map(len, doc.sentences), default=0)
-    return IntraInstances(len(heads), pair[order], sentence[a],
+    return IntraInstances(int(np.count_nonzero(pair_rows >= 0)), pair[order], sentence[a],
                           span_means(mentions[a, 2:], n_max), span_means(mentions[b, 2:], n_max))
 
 

@@ -11,9 +11,9 @@ from . import inter as inter_mod
 from . import intra as intra_mod
 from .autodiff import Tensor
 from .config import TrainingConfig, derive_rng
-from .corpus import Document, EntityPair, Vocabulary, enumerate_entity_pairs, featurize_document
+from .corpus import Document, Vocabulary, enumerate_entity_pairs, featurize_document
 from .encoders import BiLstm, EmbeddingLayers, embed_tokens, encode_document, encode_sentence, glorot
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, ValidationError
 from .graph import EdgeKind, MentionGraph, build_mention_graph
 from .inter import InterRoute, RgcnParams, aggregation_matrices, node_final_rep, propagate
 from .intra import IntraInstances, IntraRoute, intra_instances, span_means
@@ -32,14 +32,14 @@ class DocFeatures:
     doc_feats: np.ndarray          # (m, 3), sentences concatenated
     graph: MentionGraph
     agg: dict[EdgeKind, np.ndarray]
-    pairs: list[EntityPair]
-    pair_index: dict[tuple[int, int], int]
+    pairs: list                                 # (P,) head, tail and kind of each pair
     heads: np.ndarray                           # (P,) head entity id per pair
     tails: np.ndarray                           # (P,) tail entity id per pair
+    pair_rows: np.ndarray                       # (E, E) row of pair (h, t), -1 on the diagonal
     instances: IntraInstances                   # co-occurrences; intra pairs have some
     mention_means: np.ndarray                   # (mention nodes, tokens) span averages
     entity_means: np.ndarray                    # (entities, nodes) mention-node averages
-    gold: dict[tuple[int, int], list[int]]      # (h, t) -> relation ids
+    gold: np.ndarray                            # (P, |R|) bool, pair holds relation
 
 
 def prepare_document(doc: Document, vocab: Vocabulary,
@@ -50,6 +50,8 @@ def prepare_document(doc: Document, vocab: Vocabulary,
     graph = build_mention_graph(doc)
     pairs = enumerate_entity_pairs(doc)
     heads, tails = np.array([(p.head, p.tail) for p in pairs], dtype=np.int64).reshape(-1, 2).T
+    pair_rows = np.full((len(doc.entities),) * 2, -1, dtype=np.int64)
+    pair_rows[heads, tails] = np.arange(len(pairs))
     spans, owners = [], []
     for node in graph.nodes[:len(graph.mention_nodes)]:
         eid, mi, sid = node.payload
@@ -59,14 +61,17 @@ def prepare_document(doc: Document, vocab: Vocabulary,
     entity_means = np.zeros((len(doc.entities), graph.n_nodes))  # zero on non-mention nodes
     entity_means[owners, np.arange(len(owners))] = 1.0
     entity_means /= np.maximum(entity_means.sum(axis=1, keepdims=True), 1.0)
-    gold: dict[tuple[int, int], list[int]] = {}
-    for f in doc.facts:
-        gold.setdefault((f.head, f.tail), []).append(f.relation)
+    facts = np.array([(f.head, f.tail, f.relation) for f in doc.facts],
+                     dtype=np.int64).reshape(-1, 3)
+    if np.any((facts[:, 2] < 0) | (facts[:, 2] >= vocab.n_relations)):
+        raise ValidationError(f"document {doc.title!r}: a fact's relation id is outside "
+                              f"the {vocab.n_relations} relations of the vocabulary")
+    gold = np.zeros((len(pairs), vocab.n_relations), dtype=bool)
+    gold[pair_rows[facts[:, 0], facts[:, 1]], facts[:, 2]] = True
     return DocFeatures(
         doc=doc, sent_feats=sent_feats, doc_feats=doc_feats,
         graph=graph, agg=aggregation_matrices(graph), pairs=pairs,
-        pair_index={(p.head, p.tail): i for i, p in enumerate(pairs)},
-        heads=heads, tails=tails, instances=intra_instances(doc, heads, tails),
+        heads=heads, tails=tails, pair_rows=pair_rows, instances=intra_instances(doc, pair_rows),
         mention_means=span_means(spans, len(doc_feats)), entity_means=entity_means, gold=gold)
 
 
@@ -151,7 +156,7 @@ def bce_loss(probs: Tensor, targets: np.ndarray, reduction: str = "sum") -> Tens
 class DocForward:
     """Forward results for one document over a chosen pair subset."""
 
-    pairs: list[EntityPair]
+    rows: np.ndarray                     # (P,) rows of the pairs into feats.heads/tails
     reps_pre: Tensor                     # (P, 3d) pre-reasoning, in pair order
     intra: IntraRoute | None             # intra block, with the attention of every instance
     inter: InterRoute | None             # inter block, with the evidence of every pair
@@ -227,14 +232,16 @@ class RelationModel:
         mentions = ad.matmul(ad.constant(feats.mention_means), g_doc)
         return ad.concat([mentions, ad.stack(sent_summaries + [d_doc])], axis=0)
 
-    def forward(self, feats: DocFeatures, pairs: list[EntityPair] | None = None,
+    def forward(self, feats: DocFeatures, rows: np.ndarray | None = None,
                 dropout: DropoutState = _NO_DROPOUT) -> DocForward:
+        """Scores the pairs at `rows` of feats.heads/feats.tails, every pair when None."""
         cfg = self.config
-        doc = feats.doc
-        if pairs is None:
-            pairs = feats.pairs
-        if not pairs:
-            raise ContractError(f"document {doc.title!r}: no entity pairs to score")
+        n_pairs = len(feats.heads)
+        rows = np.arange(n_pairs) if rows is None else np.asarray(rows, dtype=np.int64)
+        if not rows.size:
+            raise ContractError(f"document {feats.doc.title!r}: no entity pairs to score")
+        if rows.min() < 0 or rows.max() >= n_pairs:
+            raise ContractError(f"document {feats.doc.title!r}: pair rows outside [0, {n_pairs})")
 
         sent_states, sent_summaries = [], []
         for sid, sf in enumerate(feats.sent_feats):
@@ -242,8 +249,6 @@ class RelationModel:
             sent_states.append(dropout.apply(self._project(g), ("sent", sid)))
             sent_summaries.append(self._project(summary))
 
-        rows = (np.arange(len(pairs)) if pairs is feats.pairs else
-                np.array([feats.pair_index[(p.head, p.tail)] for p in pairs], dtype=np.int64))
         routed_intra = np.isin(rows, feats.instances.pair) & (not cfg.inter4intra)
         intra_pos, inter_pos = np.flatnonzero(routed_intra), np.flatnonzero(~routed_intra)
         intra = inter = None
@@ -274,24 +279,16 @@ class RelationModel:
         gamma = None
         candidates = None
         if not cfg.no_reasoning:
-            candidates = chain_candidates(pairs, cfg.reasoning_pool)
+            candidates = chain_candidates(feats.heads[rows], feats.tails[rows], cfg.reasoning_pool)
             for _ in range(cfg.reasoning_layers):
                 pool_input = pool
                 pool, gamma = reasoning_update(pool, candidates, self.w_att.tensor)
         probs = relation_probabilities(pool, self.classifier, dropout, ("cls",))
-        return DocForward(pairs=pairs, reps_pre=reps_pre, intra=intra, inter=inter,
+        return DocForward(rows=rows, reps_pre=reps_pre, intra=intra, inter=inter,
                           block_row=block_row, pool_input=pool_input, reps_post=pool,
                           gamma=gamma, candidates=candidates, probs=probs)
 
-    def gold_targets(self, feats: DocFeatures, pairs: list[EntityPair]) -> np.ndarray:
-        y = np.zeros((len(pairs), self.vocab.n_relations))
-        for i, p in enumerate(pairs):
-            for r in feats.gold.get((p.head, p.tail), ()):
-                y[i, r] = 1.0
-        return y
-
-    def document_loss(self, feats: DocFeatures, pairs: list[EntityPair],
+    def document_loss(self, feats: DocFeatures, rows: np.ndarray | None = None,
                       dropout: DropoutState = _NO_DROPOUT) -> Tensor:
-        out = self.forward(feats, pairs, dropout)
-        return bce_loss(out.probs, self.gold_targets(feats, pairs),
-                        reduction=self.config.loss_reduction)
+        out = self.forward(feats, rows, dropout)
+        return bce_loss(out.probs, feats.gold[out.rows], reduction=self.config.loss_reduction)

@@ -11,27 +11,29 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EntityPair
 from .errors import ConfigError, ShapeError
 
 POOL_MODES = ("chains", "all")
 
 
-def chain_candidates(pairs: list[EntityPair], mode: str = "chains") -> list[np.ndarray]:
-    """Candidate pool indices per pair.
+def chain_candidates(heads: np.ndarray, tails: np.ndarray,
+                     mode: str = "chains") -> list[np.ndarray]:
+    """Candidate pool indices per pair (heads[i], tails[i]).
 
     `chains`: pairs of the form (h, k) or (k, t) with k outside {h, t}.
     `all`: every other pair. Input order must already be deterministic.
     """
     if mode not in POOL_MODES:
         raise ConfigError(f"reasoning pool mode must be one of {POOL_MODES}: {mode!r}")
+    heads, tails = np.asarray(heads), np.asarray(tails)
+    n = len(heads)
     if mode == "all":
-        mask = ~np.eye(len(pairs), dtype=bool)
+        mask = ~np.eye(n, dtype=bool)
     else:
-        heads = np.array([p.head for p in pairs])
-        tails = np.array([p.tail for p in pairs])
         mask = (heads[:, None] == heads) ^ (tails[:, None] == tails)
-    return [row.nonzero()[0] for row in mask]
+    # flat ids run row by row, so row i's candidates are the ids in [i n, (i + 1) n)
+    cells = np.flatnonzero(mask)
+    return np.split(cells % max(n, 1), np.searchsorted(cells, np.arange(1, n + 1) * n))[:-1]
 
 
 def reasoning_update(reps: Tensor, candidates: list[np.ndarray],

@@ -12,7 +12,7 @@ from .autodiff import Tape, backward
 from .config import TrainingConfig, derive_rng
 from .corpus import Document, Vocabulary, build_vocabulary, sample_training_pairs
 from .errors import ContractError, TrainingDiverged
-from .model import DocFeatures, DropoutState, RelationModel, bce_loss, prepare_document
+from .model import DocFeatures, DropoutState, RelationModel, prepare_document
 from .optim import AdamW
 
 
@@ -113,12 +113,8 @@ def predict_documents(model: RelationModel, features: list[DocFeatures],
                 np.tile(np.arange(n_rel, dtype=np.int64), n_pairs), out.probs.data.ravel())
 
     blocks = [tuple(np.empty(0, dtype=d) for d in _COLUMN_DTYPES)]
-    blocks += [rows(f) for f in features if f.pairs]
+    blocks += [rows(f) for f in features if f.heads.size]
     return PredictionSet(*map(np.concatenate, zip(*blocks)), threshold=threshold)
-
-
-def gold_instance_set(docs: list[Document]) -> set[tuple[str, int, int, int]]:
-    return {(d.title, f.head, f.tail, f.relation) for d in docs for f in d.facts}
 
 
 @dataclass
@@ -166,7 +162,7 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
     def evaluate_dev() -> tuple[float, float]:
         """Micro F1 on the dev set at its own calibrated threshold, and that threshold."""
         scores = predict_documents(model, dev_features).scores
-        gold = np.concatenate([model.gold_targets(f, f.pairs).ravel() for f in dev_features]) > 0
+        gold = np.concatenate([f.gold.ravel() for f in dev_features])
         theta = calibrate_threshold(scores, gold, default=config.threshold, warn=log)
         decided = scores >= theta
         tp = int(gold[decided].sum())
@@ -180,10 +176,8 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
         sample_rng = derive_rng(config.seed, "negatives", epoch)
         shuffle_rng = derive_rng(config.seed, "shuffle", epoch)
         drop_rng = derive_rng(config.seed, "dropout", epoch)
-        sampled = [
-            sample_training_pairs(f.pairs, f.doc.facts, config.neg_ratio, sample_rng)
-            for f in features
-        ]
+        sampled = [sample_training_pairs(f.gold.any(axis=1), config.neg_ratio, sample_rng)
+                   for f in features]
         order = shuffle_rng.permutation(len(features))
         epoch_loss = 0.0
         epoch_pairs = 0
@@ -193,11 +187,11 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
             with Tape():
                 loss = None
                 for di in batch:
-                    if not sampled[di]:
+                    if not sampled[di].size:
                         continue
                     doc_loss = model.document_loss(features[di], sampled[di], dropout)
                     loss = doc_loss if loss is None else loss + doc_loss
-                    epoch_pairs += len(sampled[di])
+                    epoch_pairs += sampled[di].size
                 if loss is None:
                     continue
                 value = float(loss.data)

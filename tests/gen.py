@@ -104,6 +104,11 @@ def rule_corpus(rng: np.random.Generator, n_docs: int = 20) -> list[Document]:
     return docs
 
 
+def gold_instance_set(docs: list[Document]) -> set[tuple[str, int, int, int]]:
+    """Every gold fact as a (title, head, tail, relation) key."""
+    return {(d.title, f.head, f.tail, f.relation) for d in docs for f in d.facts}
+
+
 def docred_json(docs: list[Document]) -> list[dict]:
     """Render documents back into the DocRED file schema."""
     out = []

@@ -84,6 +84,13 @@ def topk_context(g: Tensor, alpha: Tensor, k: int, beta: float):
     return beta * top_mean + (1.0 - beta) * weighted, idx
 
 
+def co_occur_sentences(doc: Document, head: int, tail: int) -> list[int]:
+    """Ascending ids of the sentences holding a mention of both entities."""
+    def sentences(eid):
+        return {m.sentence_id for m in doc.entities[eid].mentions}
+    return sorted(sentences(head) & sentences(tail))
+
+
 def intra_pair_rep(pair: EntityPair, doc: Document, sent_states: list[Tensor],
                    w_intra: Tensor, k: int, beta: float,
                    average: str = "flat") -> PairRepresentation:
@@ -91,7 +98,7 @@ def intra_pair_rep(pair: EntityPair, doc: Document, sent_states: list[Tensor],
     tail_mentions = doc.entities[pair.tail].mentions
     per_sentence: list[list[Tensor]] = []
     contexts = []
-    for sid in pair.co_occur_sentences:
+    for sid in co_occur_sentences(doc, pair.head, pair.tail):
         g = sent_states[sid]
         instances = []
         for hm in head_mentions:
@@ -159,12 +166,12 @@ def mention_doc_spans(feats: DocFeatures) -> list[tuple[int, int]]:
     return spans
 
 
-def forward(model: RelationModel, feats: DocFeatures, pairs: list[EntityPair] | None = None,
+def forward(model: RelationModel, feats: DocFeatures, rows=None,
             dropout: DropoutState = _NO_DROPOUT) -> OracleForward:
+    """The forward over the pairs at `rows` of feats.pairs (every pair when None)."""
     cfg = model.config
     doc = feats.doc
-    if pairs is None:
-        pairs = feats.pairs
+    pairs = list(feats.pairs) if rows is None else [feats.pairs[i] for i in rows]
 
     sent_states, sent_summaries = [], []
     for sid, sf in enumerate(feats.sent_feats):
@@ -211,7 +218,8 @@ def forward(model: RelationModel, feats: DocFeatures, pairs: list[EntityPair] | 
     gamma = None
     candidates = None
     if not cfg.no_reasoning:
-        candidates = chain_candidates(pairs, cfg.reasoning_pool)
+        candidates = chain_candidates(np.array([p.head for p in pairs]),
+                                      np.array([p.tail for p in pairs]), cfg.reasoning_pool)
         for _ in range(cfg.reasoning_layers):
             pool_input = pool
             pool, gamma = reasoning_update(pool, candidates, model.w_att.tensor)
@@ -220,17 +228,27 @@ def forward(model: RelationModel, feats: DocFeatures, pairs: list[EntityPair] | 
                          reps_post=pool, gamma=gamma, candidates=candidates, probs=probs)
 
 
-def document_loss(model: RelationModel, feats: DocFeatures, pairs: list[EntityPair],
+def gold_targets(model: RelationModel, doc: Document, pairs: list[EntityPair]) -> np.ndarray:
+    """(len(pairs), |R|) targets, one fact at a time."""
+    y = np.zeros((len(pairs), model.vocab.n_relations))
+    for i, p in enumerate(pairs):
+        for f in doc.facts:
+            if (f.head, f.tail) == (p.head, p.tail):
+                y[i, f.relation] = 1.0
+    return y
+
+
+def document_loss(model: RelationModel, feats: DocFeatures, rows=None,
                   dropout: DropoutState = _NO_DROPOUT) -> Tensor:
-    out = forward(model, feats, pairs, dropout)
-    return bce_loss(out.probs, model.gold_targets(feats, pairs),
+    out = forward(model, feats, rows, dropout)
+    return bce_loss(out.probs, gold_targets(model, feats.doc, out.pairs),
                     reduction=model.config.loss_reduction)
 
 
 def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
                  threshold: float = 0.5) -> ExplanationRecord:
     doc = feats.doc
-    idx = feats.pair_index[(head, tail)]
+    idx = next(i for i, p in enumerate(feats.pairs) if (p.head, p.tail) == (head, tail))
     out = forward(model, feats)
     pair = out.pairs[idx]
     rep = out.reps_pre[idx]

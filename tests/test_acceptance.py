@@ -26,8 +26,8 @@ from docrel.inter import evidence_weights, inter_pair_rep
 from docrel.model import DropoutState, RelationModel, prepare_document
 from docrel.reasoning import chain_candidates, reasoning_update
 from docrel.training import (PredictionSet, PredRecord, calibrate_threshold,
-                             gold_instance_set, predict_documents, train_model)
-from gen import docred_json, random_document, rule_corpus
+                             predict_documents, train_model)
+from gen import docred_json, gold_instance_set, random_document, rule_corpus
 from test_evaluation import brute_force_suite
 from test_graph import brute_force_edges
 
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_suite():
         frozen = DropoutState(cfg.dropout, derive_rng(cfg.seed, "gradcheck-dropout"),
                               frozen=True)
         err, checked, skipped = check_gradients(
-            lambda: model.document_loss(feats, feats.pairs, frozen),
+            lambda: model.document_loss(feats, None, frozen),
             [p.tensor for p in model.parameters()], eps=1e-5)
         worst = max(worst, err)
         total_checked += checked
@@ -179,19 +179,19 @@ def test_criterion_4_intra_locality():
     for doc in docs:
         feats = prepare_document(doc, vocab)
         out = model.forward(feats)
-        base = {(p.head, p.tail): out.reps_pre.data[i].copy()
-                for i, p in enumerate(out.pairs) if p.kind is PairKind.INTRA}
-        for (h, t), before in base.items():
-            pair = feats.pairs[feats.pair_index[(h, t)]]
-            keep = set(pair.co_occur_sentences)
+        for row, pair in enumerate(feats.pairs):
+            if pair.kind is not PairKind.INTRA:
+                continue
+            before = out.reps_pre.data[row]
+            keep = ({m.sentence_id for m in doc.entities[pair.head].mentions}
+                    & {m.sentence_id for m in doc.entities[pair.tail].mentions})
             edited = Document(
                 doc.title,
                 [list(s) if sid in keep else [fill[rng.integers(len(fill))] for _ in s]
                  for sid, s in enumerate(doc.sentences)],
                 doc.entities, doc.facts)
-            out2 = model.forward(prepare_document(edited, vocab))
-            after = next(out2.reps_pre.data[i] for i, p in enumerate(out2.pairs)
-                         if (p.head, p.tail) == (h, t))
+            feats2 = prepare_document(edited, vocab)
+            after = model.forward(feats2).reps_pre.data[feats2.pair_rows[pair.head, pair.tail]]
             worst = max(worst, float(np.abs(before - after).max()))
             pairs_checked += 1
     ok = worst <= 1e-12 and pairs_checked > 0

@@ -1,17 +1,24 @@
 """Tensor core: forward values against naive oracles, backward against FD."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docrel import autodiff as ad
-from docrel.autodiff import Tape, Tensor, backward, check_gradients, gradient_check
+from docrel.autodiff import Tape, Tensor, backward, check_gradients
 from docrel.errors import ContractError, NotFoundError, ShapeError
 
 
 def leaf(values):
     return Tensor(np.asarray(values, dtype=float), requires_grad=True)
+
+
+def gradient_check(f, x, eps=1e-5):
+    """Max relative error between reverse-mode and central-difference gradients of f at x."""
+    return check_gradients(lambda: f(x), [x], eps=eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +166,19 @@ def test_no_tape_means_no_recording():
     x = leaf([1.0])
     y = ad.mul(x, x)
     assert y.tape is None and not y.requires_grad
+
+
+def test_decision_trace_sees_only_its_own_thread():
+    def other():
+        ad.relu(Tensor(np.ones(3)))
+
+    with ad.decision_trace() as trace:
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and trace == []
+        ad.relu(Tensor(-np.ones(2)))
+    assert [kind for kind, _ in trace] == ["relu"]
 
 
 def test_broadcast_add_gradient_reduces():

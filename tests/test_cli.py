@@ -236,6 +236,32 @@ def test_corrupt_checkpoint_text_maps_to_checkpoint_error(workspace, trained, se
     assert code == EXIT_CHECKPOINT_MISMATCH
 
 
+@pytest.mark.parametrize("meta", [{"threshold": 0.5}, {"vocab": [1]},
+                                  {"vocab": {"word2id": {}}}, "threshold-not-a-number"])
+def test_checkpoint_without_a_usable_vocabulary_maps_to_checkpoint_error(workspace, trained,
+                                                                       meta):
+    from docrel.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = load_checkpoint(trained / "model.ckpt")
+    if meta == "threshold-not-a-number":
+        meta = dict(ckpt.meta, threshold="high")
+    bad = workspace / "meta.ckpt"
+    save_checkpoint(bad, ckpt.arrays, ckpt.config_text, meta=meta)
+    code = main(["predict", "--data", str(workspace / "dev.json"),
+                 "--checkpoint", str(bad), "--out", str(workspace / "pred-meta")])
+    assert code == EXIT_CHECKPOINT_MISMATCH
+
+
+@pytest.mark.parametrize("labels", [["r"], 3])
+def test_train_on_labels_that_are_not_objects_maps_to_bad_data(workspace, labels):
+    docs = json.loads((workspace / "train.json").read_text(encoding="utf-8"))
+    docs[0]["labels"] = labels
+    bad = workspace / "bad-labels.json"
+    bad.write_text(json.dumps(docs), encoding="utf-8")
+    code = main(["train", "--data", str(bad), "--config", str(workspace / "config.txt"),
+                 "--out", str(workspace / "bad-labels-out")])
+    assert code == EXIT_BAD_DATA
+
+
 @pytest.mark.parametrize("field", ["pos", "sent_id", "h", "t", "evidence"])
 def test_non_integer_field_maps_to_bad_data(workspace, field):
     docs = json.loads((workspace / "dev.json").read_text(encoding="utf-8"))

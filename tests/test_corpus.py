@@ -1,14 +1,18 @@
 """Corpus loading, vocabulary, featurization and pair routing against oracles."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrel.corpus import (Document, Entity, Mention, PairKind, RelationFact,
                            build_vocabulary, enumerate_entity_pairs, featurize_document,
                            load_docred, sample_training_pairs, NONE_LABEL)
-from docrel.errors import ConfigError, ContractError, ParseError, ValidationError
+from docrel.errors import ConfigError, ContractError, DocrelError, ParseError, ValidationError
+from docrel.model import prepare_document
 from gen import docred_json, random_document
 
 FIXTURE = [
@@ -92,6 +96,67 @@ def test_load_docred_with_vocab_rejects_unknown_relation(corpus_file, tmp_path):
     other.write_text(json.dumps([FIXTURE[1]]), encoding="utf-8")
     with pytest.raises(ValidationError):
         load_docred(other, vocab=vocab)
+
+
+@pytest.mark.parametrize("labels", [["r"], 3, [{"h": 0, "t": 1, "r": "hired"}, None], {"r": "x"}])
+def test_load_docred_labels_must_be_a_list_of_objects(tmp_path, labels):
+    record = dict(FIXTURE[1], labels=labels)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([record]), encoding="utf-8")
+    vocab = build_vocabulary(load_docred_from(FIXTURE))
+    for v in (None, vocab):
+        with pytest.raises(ParseError, match="labels"):
+            load_docred(path, vocab=v)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+def mutate(node, data):
+    """Drop, retype or replace one field somewhere below `node`, in place."""
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        if isinstance(node[key], (dict, list)) and data.draw(st.booleans()):
+            node = node[key]
+            continue
+        action = data.draw(st.sampled_from(["drop", "retype", "replace"]))
+        if action == "drop":
+            del node[key]
+        elif action == "retype":
+            value = node[key]
+            node[key] = data.draw(st.sampled_from(
+                [str(value), [value], {"v": value}, len(str(value)), None, float("inf")]))
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        return
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_docred_lets_only_docrel_errors_out(fuzz_dir, data):
+    records = copy.deepcopy(FIXTURE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(records, data)
+    path = fuzz_dir / "mutated.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    for vocab in (None, build_vocabulary(load_docred_from(FIXTURE))):
+        try:
+            load_docred(path, vocab=vocab)
+        except DocrelError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +286,10 @@ def pair_doc():
 
 def test_enumerate_pairs_example_routing():
     pairs = {(p.head, p.tail): p for p in enumerate_entity_pairs(pair_doc())}
-    assert pairs[(0, 1)].kind is PairKind.INTRA and pairs[(0, 1)].co_occur_sentences == [0]
+    assert pairs[(0, 1)].kind is PairKind.INTRA
     assert pairs[(1, 0)].kind is PairKind.INTRA
     for key in ((0, 2), (2, 0), (1, 2), (2, 1)):
         assert pairs[key].kind is PairKind.INTER
-        assert pairs[key].co_occur_sentences == []
 
 
 def test_single_entity_document_has_no_pairs():
@@ -260,46 +324,70 @@ def test_pair_routing_symmetry_and_brute_force_intra_count():
 
 
 def test_sampling_counts_and_determinism():
-    doc_pairs = []
-    facts = []
-    for i in range(10):
-        facts.append(RelationFact(i, 110 + i, 0, "r", []))
-    from docrel.corpus import EntityPair
-    for i in range(10):
-        doc_pairs.append(EntityPair(i, 110 + i, PairKind.INTER, []))
-    for i in range(100):
-        doc_pairs.append(EntityPair(200 + i, 300 + i, PairKind.INTER, []))
+    positive = np.repeat([True, False], [10, 100])
+    sampled = sample_training_pairs(positive, 0.25, np.random.default_rng(5))
+    assert positive[sampled].sum() == 10
+    assert (~positive[sampled]).sum() == 40
+    assert np.all(np.diff(sampled) > 0)
 
-    sampled = sample_training_pairs(doc_pairs, facts, 0.25, np.random.default_rng(5))
-    positives = [p for p in sampled if (p.head, p.tail) in {(f.head, f.tail) for f in facts}]
-    assert len(positives) == 10
-    assert len(sampled) - len(positives) == 40
-
-    again = sample_training_pairs(doc_pairs, facts, 0.25, np.random.default_rng(5))
-    assert [(p.head, p.tail) for p in again] == [(p.head, p.tail) for p in sampled]
+    again = sample_training_pairs(positive, 0.25, np.random.default_rng(5))
+    np.testing.assert_array_equal(again, sampled)
 
 
 def test_sampling_caps_at_available_negatives():
-    from docrel.corpus import EntityPair
-    pairs = [EntityPair(0, 1, PairKind.INTER, []), EntityPair(1, 0, PairKind.INTER, [])]
-    pairs += [EntityPair(2, 3, PairKind.INTER, []), EntityPair(3, 2, PairKind.INTER, []),
-              EntityPair(2, 4, PairKind.INTER, [])]
-    facts = [RelationFact(0, 1, 0, "r", []), RelationFact(1, 0, 0, "r", [])]
-    sampled = sample_training_pairs(pairs, facts, 1.0, np.random.default_rng(0))
+    positive = np.array([True, True, False, False, False])
+    sampled = sample_training_pairs(positive, 1.0, np.random.default_rng(0))
     assert len(sampled) == 4  # 2 positives + 2 of 3 negatives (positives/ratio = 2)
 
 
 def test_sampling_ratio_one_keeps_everything_when_scarce():
-    from docrel.corpus import EntityPair
-    pairs = [EntityPair(i, i + 10, PairKind.INTER, []) for i in range(8)]
-    facts = [RelationFact(i, i + 10, 0, "r", []) for i in range(5)]
-    sampled = sample_training_pairs(pairs, facts, 1.0, np.random.default_rng(0))
-    assert len(sampled) == 8
+    positive = np.repeat([True, False], [5, 3])
+    sampled = sample_training_pairs(positive, 1.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(sampled, np.arange(8))
 
 
 def test_sampling_rejects_bad_ratio():
     with pytest.raises(ConfigError):
-        sample_training_pairs([], [], 0.0, np.random.default_rng(0))
+        sample_training_pairs(np.zeros(0, dtype=bool), 0.0, np.random.default_rng(0))
+
+
+def list_sampler(pairs, facts, ratio, rng):
+    """The pair-list sampler that the row sampler replaced: keep every pair with
+    a fact and draw negatives by their position among the negatives."""
+    gold_pairs = {(f.head, f.tail) for f in facts}
+    keep = np.zeros(len(pairs), dtype=bool)
+    negatives = []
+    n_pos = 0
+    for i, p in enumerate(pairs):
+        if (p.head, p.tail) in gold_pairs:
+            keep[i] = True
+            n_pos += 1
+        else:
+            negatives.append(i)
+    want = min(len(negatives), int(round(n_pos / ratio)))
+    if want and negatives:
+        for j in rng.choice(len(negatives), size=want, replace=False):
+            keep[negatives[j]] = True
+    return [p for i, p in enumerate(pairs) if keep[i]]
+
+
+def test_row_sampler_draws_the_pairs_of_the_list_sampler():
+    rng = np.random.default_rng(21)
+    docs = [random_document(rng, title=f"s{i}", max_entities=8, max_mentions=12)
+            for i in range(8)]
+    vocab = build_vocabulary(docs)
+    assert {f.relation for d in docs for f in d.facts} <= set(vocab.rel2id.values())
+    compared = 0
+    for di, doc in enumerate(docs):
+        feats = prepare_document(doc, vocab)
+        for ratio in (0.25, 0.5, 1.0):
+            got_rng, want_rng = np.random.default_rng(di), np.random.default_rng(di)
+            got = sample_training_pairs(feats.gold.any(axis=1), ratio, got_rng)
+            want = list_sampler(feats.pairs, doc.facts, ratio, want_rng)
+            np.testing.assert_array_equal(got, [feats.pair_rows[p.head, p.tail] for p in want])
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            compared += len(want)
+    assert compared > 50
 
 
 def test_docred_json_helper_roundtrips():

@@ -86,6 +86,15 @@ def test_unknown_pair_raises(world):
         explain_pair(model, feats[0], 0, 99)
 
 
+@pytest.mark.parametrize("pair", ["negative", "self", "past_the_last"])
+def test_pair_outside_the_table_raises(world, pair):
+    docs, vocab, model, feats = world
+    n = len(docs[0].entities)
+    head, tail = {"negative": (-1, 0), "self": (0, 0), "past_the_last": (0, n)}[pair]
+    with pytest.raises(NotFoundError):
+        explain_pair(model, feats[0], head, tail)
+
+
 def test_render_is_textual_and_complete(world):
     docs, vocab, model, feats = world
     h, t = intra_pair_of(feats[0])

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from docrel.corpus import Document, Entity, Mention
-from docrel.errors import NotFoundError
-from docrel.graph import (EdgeKind, NodeKind, build_mention_graph, export_edges,
-                          typed_neighbors)
+from docrel.graph import EdgeKind, NodeKind, build_mention_graph, export_edges
 from gen import random_document
 
 
@@ -64,7 +62,7 @@ def test_minimal_graph_counts():
     counts = {kind: len(edges) for kind, edges in g.edges.items()}
     assert counts == {EdgeKind.INTRA_ENTITY: 0, EdgeKind.INTER_ENTITY: 0,
                       EdgeKind.SENTENCE_MENTION: 1, EdgeKind.SENTENCE_DOCUMENT: 1}
-    assert g.counts_by_kind() == {NodeKind.MENTION: 1, NodeKind.SENTENCE: 1, NodeKind.DOCUMENT: 1}
+    assert [n.kind for n in g.nodes] == [NodeKind.MENTION, NodeKind.SENTENCE, NodeKind.DOCUMENT]
 
 
 def test_intra_entity_clique_size():
@@ -114,16 +112,16 @@ def test_sentence_document_degree_identity():
     for _ in range(10):
         g = build_mention_graph(random_document(rng))
         for s_node in g.sentence_nodes:
-            assert typed_neighbors(g, s_node, EdgeKind.SENTENCE_DOCUMENT) == [g.document_node]
+            assert g.adjacency(EdgeKind.SENTENCE_DOCUMENT)[s_node] == [g.document_node]
 
 
-def test_typed_neighbors_definition_and_oracle():
+def test_adjacency_definition_and_oracle():
     doc = example_doc()
     g = build_mention_graph(doc)
-    assert typed_neighbors(g, g.document_node, EdgeKind.SENTENCE_DOCUMENT) == g.sentence_nodes
+    assert g.adjacency(EdgeKind.SENTENCE_DOCUMENT)[g.document_node] == g.sentence_nodes
     # isolated mention in the inter-entity relation
     a2 = g.mention_nodes[(0, 1)]
-    assert typed_neighbors(g, a2, EdgeKind.INTER_ENTITY) == []
+    assert g.adjacency(EdgeKind.INTER_ENTITY)[a2] == []
     # independent edge-scan oracle on a random graph
     rng = np.random.default_rng(4)
     g = build_mention_graph(random_document(rng))
@@ -133,13 +131,7 @@ def test_typed_neighbors_definition_and_oracle():
             rebuilt[u].add(v)
             rebuilt[v].add(u)
         for n in g.nodes:
-            assert typed_neighbors(g, n.id, kind) == sorted(rebuilt[n.id])
-
-
-def test_typed_neighbors_unknown_node():
-    g = build_mention_graph(example_doc())
-    with pytest.raises(NotFoundError):
-        typed_neighbors(g, 999, EdgeKind.INTRA_ENTITY)
+            assert g.adjacency(kind)[n.id] == sorted(rebuilt[n.id])
 
 
 def test_export_edge_list_format():

@@ -1,5 +1,7 @@
 """R-GCN propagation, entity pooling and evidence selection against oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,8 @@ def test_entity_means_match_loop_sum_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):
         doc = random_document(rng, max_sentences=3, max_entities=4, max_mentions=8)
+        # the facts' relation ids need not fit a one-document vocabulary; the means ignore them
+        doc = dataclasses.replace(doc, facts=[])
         feats = prepare_document(doc, build_vocabulary([doc]))
         m = rng.normal(size=(feats.graph.n_nodes, 3))
         for e in doc.entities:

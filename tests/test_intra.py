@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from docrel.autodiff import Tensor
-from docrel.corpus import Document, Entity, EntityPair, Mention, PairKind
+from docrel.corpus import Document, Entity, Mention
 from docrel.errors import ContractError, ShapeError
 from docrel.intra import (context_attention, intra_instances, intra_pair_rep, span_means,
                           topk_context)
@@ -142,12 +142,14 @@ def encode_all(doc, rng, d=4):
 
 def table_of(doc, pairs):
     """The co-occurrence instances of (head, tail) pairs."""
-    return intra_instances(doc, np.array([h for h, _ in pairs]), np.array([t for _, t in pairs]))
+    rows = np.full((len(doc.entities),) * 2, -1)
+    rows[tuple(np.array(pairs).T)] = np.arange(len(pairs))
+    return intra_instances(doc, rows)
 
 
 def pair_route(doc, pair, encs, w, **kw):
-    """The intra route over the co-occurrence instances of one pair."""
-    return intra_pair_rep(table_of(doc, [(pair.head, pair.tail)]), encs, w, **kw)
+    """The intra route over the co-occurrence instances of one (head, tail) pair."""
+    return intra_pair_rep(table_of(doc, [pair]), encs, w, **kw)
 
 
 def test_intra_single_instance_is_plain_concat():
@@ -158,7 +160,7 @@ def test_intra_single_instance_is_plain_concat():
     rng = np.random.default_rng(4)
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0])
+    pair = (0, 1)
     rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
     e_h = encs[0].data[0]
     e_t = encs[0].data[2]
@@ -178,12 +180,11 @@ def test_intra_mean_of_identical_sentences_collapses():
     rows = rng.normal(size=(3, 4))
     encs = [enc_of(rows.copy()), enc_of(rows.copy())]
     w = Tensor(rng.normal(size=(4, 8)))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
+    pair = (0, 1)
     rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
     first_only = Document("first", doc.sentences[:1],
                           [Entity(e.id, e.type, e.mentions[:1]) for e in doc.entities], [])
-    single = pair_route(first_only, EntityPair(0, 1, PairKind.INTRA, [0]), encs[:1], w,
-                        k=2, beta=0.9)
+    single = pair_route(first_only, (0, 1), encs[:1], w, k=2, beta=0.9)
     np.testing.assert_allclose(rep.vectors.data, single.vectors.data, atol=1e-12)
     assert rep.instances.pair.size == 2
 
@@ -198,7 +199,7 @@ def test_intra_instance_enumeration_oracle():
     rng = np.random.default_rng(6)
     encs = encode_all(doc, rng)
     w_values = rng.normal(size=(4, 8))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0])
+    pair = (0, 1)
     rep = pair_route(doc, pair, encs, Tensor(w_values), k=2, beta=0.9)
 
     # explicit enumeration with plain numpy
@@ -224,7 +225,7 @@ def test_intra_alpha_sums_to_one_and_topk_cardinality():
     doc = intra_doc()
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
+    pair = (0, 1)
     rep = pair_route(doc, pair, encs, w, k=2, beta=0.9)
     for sid, alpha, topk in zip(rep.instances.sentence, rep.alpha, rep.topk):
         assert abs(alpha.sum() - 1.0) < 1e-6
@@ -236,7 +237,7 @@ def test_intra_locality_under_edits_to_other_sentences():
     doc = intra_doc()
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
+    pair = (0, 1)
     before = pair_route(doc, pair, encs, w, k=2, beta=0.9).vectors.data.copy()
     # arbitrary edits to the non-co-occurred sentence 2
     encs[2] = enc_of(rng.normal(size=(2, 4)) * 100.0)
@@ -255,7 +256,7 @@ def test_nested_averaging_weights_sentences_equally():
     rng = np.random.default_rng(10)
     encs = encode_all(doc, rng)
     w = Tensor(rng.normal(size=(4, 8)))
-    pair = EntityPair(0, 1, PairKind.INTRA, [0, 1])
+    pair = (0, 1)
 
     def instance_vectors(sid, mention_pairs):
         g = encs[sid].data
@@ -290,7 +291,7 @@ def test_intra_requires_co_occurrence():
     encs = encode_all(doc, rng)
     w = Tensor(np.zeros((4, 8)))
     with pytest.raises(ContractError):
-        pair_route(doc, EntityPair(0, 1, PairKind.INTER, []), encs, w, k=2, beta=0.9)
+        pair_route(doc, (0, 1), encs, w, k=2, beta=0.9)
     # an intra pair selected next to one without instances
     table = table_of(intra_doc(), [(0, 1), (1, 0)])
     with pytest.raises(ContractError):

@@ -1,12 +1,14 @@
 """Classifier head, BCE loss, full forward assembly and the ablation flags."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from docrel.autodiff import Tensor
+from docrel.autodiff import Tape, Tensor
 from docrel.config import TrainingConfig
-from docrel.corpus import PairKind, build_vocabulary
-from docrel.errors import ShapeError
+from docrel.corpus import Document, PairKind, RelationFact, build_vocabulary
+from docrel.errors import ContractError, ShapeError, ValidationError
 from docrel.model import (ClassifierParams, RelationModel, bce_loss, prepare_document,
                           relation_probabilities)
 from docrel.optim import Parameter
@@ -116,7 +118,8 @@ def test_forward_shapes_and_kinds(small_world):
     assert out.reps_pre.shape == (n_pairs, 3 * 8)
     # intra pairs take the first rows of the route blocks, inter pairs the rest
     routed_intra = out.block_row < out.intra.vectors.shape[0]
-    np.testing.assert_array_equal(routed_intra, [p.kind is PairKind.INTRA for p in out.pairs])
+    np.testing.assert_array_equal(routed_intra, [p.kind is PairKind.INTRA for p in feats.pairs])
+    np.testing.assert_array_equal(out.rows, np.arange(n_pairs))
     assert out.inter.vectors.shape[0] == n_pairs - routed_intra.sum()
     np.testing.assert_array_equal(np.sort(out.block_row), np.arange(n_pairs))
 
@@ -131,16 +134,48 @@ def test_projection_created_only_when_widths_differ(small_world):
     assert model_neq.forward(prepare_document(docs[0], vocab)).reps_post.shape[1] == 18
 
 
-def test_gold_targets_multilabel(small_world):
+def test_gold_matrix_multilabel(small_world):
     docs, vocab = small_world
-    model = RelationModel(toy_config(), vocab)
     feats = prepare_document(docs[0], vocab)
-    y = model.gold_targets(feats, feats.pairs)
+    y = feats.gold
     assert y.shape == (len(feats.pairs), vocab.n_relations)
     gold = {(f.head, f.tail, f.relation) for f in docs[0].facts}
     for i, p in enumerate(feats.pairs):
         for r in range(vocab.n_relations):
             assert y[i, r] == ((p.head, p.tail, r) in gold)
+
+
+def test_pair_rows_table_inverts_the_pair_arrays(small_world):
+    docs, vocab = small_world
+    feats = prepare_document(docs[0], vocab)
+    n = len(docs[0].entities)
+    assert feats.pair_rows.shape == (n, n)
+    np.testing.assert_array_equal(np.diag(feats.pair_rows), np.full(n, -1))
+    np.testing.assert_array_equal(feats.pair_rows[feats.heads, feats.tails],
+                                  np.arange(len(feats.pairs)))
+    assert [(p.head, p.tail) for p in feats.pairs] == list(zip(feats.heads, feats.tails))
+
+
+def test_relation_id_outside_the_vocabulary_is_rejected(small_world):
+    docs, vocab = small_world
+    doc = docs[0]
+    bad = Document(doc.title, doc.sentences, doc.entities,
+                   [RelationFact(0, 1, vocab.n_relations, "unknown", [])])
+    with pytest.raises(ValidationError):
+        prepare_document(bad, vocab)
+
+
+def test_forward_takes_a_row_subset(small_world):
+    docs, vocab = small_world
+    model = RelationModel(toy_config(), vocab)
+    feats = prepare_document(docs[0], vocab)
+    rows = np.array([1, 4, 5])
+    out = model.forward(feats, rows)
+    np.testing.assert_array_equal(out.rows, rows)
+    assert out.probs.shape == (3, vocab.n_relations)
+    for bad in (np.array([], dtype=np.int64), np.array([-1]), np.array([len(feats.pairs)])):
+        with pytest.raises(ContractError):
+            model.forward(feats, bad)
 
 
 def test_no_reasoning_flag_bypasses_update(small_world):
@@ -172,8 +207,7 @@ def test_inter4intra_routes_all_pairs_through_graph(small_world):
     assert out.intra is None
     assert out.inter.alpha.shape == (len(feats.pairs), len(docs[0].sentences))
     # metric routing is untouched
-    assert any(p.kind is PairKind.INTRA for p in out.pairs)
-    assert [p.kind for p in out.pairs] == [p.kind for p in feats.pairs]
+    assert any(p.kind is PairKind.INTRA for p in feats.pairs)
 
 
 def test_forward_deterministic_without_dropout(small_world):
@@ -243,3 +277,19 @@ def test_mention_means_line_up_with_document_spans(small_world):
         row = np.zeros(doc.n_tokens)
         row[offsets[sid] + m.start:offsets[sid] + m.end] = 1.0 / (m.end - m.start)
         np.testing.assert_array_equal(feats.mention_means[node.id], row)
+
+
+def test_forward_on_another_thread_stays_off_an_open_tape(small_world):
+    docs, vocab = small_world
+    model = RelationModel(toy_config(), vocab)
+    feats = prepare_document(docs[0], vocab)
+    seen = []
+    with Tape() as tape:
+        loss = model.document_loss(feats)
+        recorded = len(tape)
+        worker = threading.Thread(target=lambda: seen.append(model.forward(feats).probs))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(tape) == recorded and loss.tape is tape
+    assert len(seen) == 1 and seen[0].tape is None

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrel import autodiff as ad
 from docrel.autodiff import Tape, backward
@@ -259,6 +261,54 @@ def test_checkpoint_detects_corruption(tmp_path):
     blob[10] ^= 0xFF  # inside the stored digest
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_meta_must_be_an_object(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.ones(2)}, "k = v\n", meta=[1])
+    with pytest.raises(CheckpointError, match="not a JSON object"):
+        load_checkpoint(path)
+
+
+def small_checkpoint(path):
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3, dtype=np.float32),
+                           "s": np.array(2.0)},
+                    "k = v\n", meta={"vocab": {"rel2id": {"r": 0}}, "threshold": 0.5})
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("ckpt-fuzz")
+    return directory, small_checkpoint(directory / "clean.ckpt")
+
+
+@settings(max_examples=400, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 10 ** 6))
+def test_corrupt_checkpoint_lets_only_checkpoint_error_out(fuzz_checkpoint, flips, cut):
+    directory, clean = fuzz_checkpoint
+    blob = bytearray(clean)
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    if cut is not None:
+        del blob[cut % len(blob):]
+    path = directory / "corrupt.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+def test_corrupt_dims_fail_the_length_check(tmp_path):
+    blob = bytearray(small_checkpoint(tmp_path / "clean.ckpt"))
+    first_dim = blob.index(b"\x01\x00w") + 3 + 2  # name, then dtype code and ndim
+    blob[first_dim:first_dim + 4] = b"\xff\xff\xff\x7f"
+    path = tmp_path / "dims.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 

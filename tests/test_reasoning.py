@@ -4,31 +4,30 @@ import numpy as np
 import pytest
 
 from docrel.autodiff import Tensor
-from docrel.corpus import EntityPair, PairKind
 from docrel.errors import ConfigError, ShapeError
 from docrel.reasoning import chain_candidates, reasoning_update
 
 
 def pairs_over(n):
-    out = []
-    for h in range(n):
-        for t in range(n):
-            if h != t:
-                out.append(EntityPair(h, t, PairKind.INTER, []))
-    return out
+    """(n (n - 1), 2) array of the ordered (head, tail) pairs of n entities."""
+    return np.array([(h, t) for h in range(n) for t in range(n) if h != t],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def candidates(pairs, mode):
+    return chain_candidates(pairs[:, 0], pairs[:, 1], mode)
 
 
 def per_pair_candidates(pairs, mode):
     """Pool of each pair by a comprehension over all other pairs."""
     out = []
-    for i, p in enumerate(pairs):
+    for i, (h, t) in enumerate(pairs):
         if mode == "all":
             cand = [j for j in range(len(pairs)) if j != i]
         else:
             cand = [
-                j for j, q in enumerate(pairs)
-                if j != i and ((q.head == p.head and q.tail != p.tail)
-                               or (q.tail == p.tail and q.head != p.head))
+                j for j, (qh, qt) in enumerate(pairs)
+                if j != i and ((qh == h and qt != t) or (qt == t and qh != h))
             ]
         out.append(np.asarray(cand, dtype=np.int64))
     return out
@@ -39,9 +38,9 @@ def test_candidates_match_per_pair_oracle(mode):
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 5, 8):
         pairs = pairs_over(n)
-        subset = [pairs[i] for i in sorted(rng.permutation(len(pairs))[:len(pairs) // 2])]
-        for pool in (pairs, subset, list(reversed(pairs))):
-            got = chain_candidates(pool, mode)
+        subset = pairs[np.sort(rng.permutation(len(pairs))[:len(pairs) // 2])]
+        for pool in (pairs, subset, pairs[::-1]):
+            got = candidates(pool, mode)
             want = per_pair_candidates(pool, mode)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -51,16 +50,16 @@ def test_candidates_match_per_pair_oracle(mode):
 
 def test_three_entity_chain_example():
     pairs = pairs_over(3)
-    index = {(p.head, p.tail): i for i, p in enumerate(pairs)}
-    cand = chain_candidates(pairs, "chains")
+    index = {(h, t): i for i, (h, t) in enumerate(pairs.tolist())}
+    cand = candidates(pairs, "chains")
     target = index[(0, 2)]  # (A, C)
-    got = {(pairs[j].head, pairs[j].tail) for j in cand[target]}
+    got = {tuple(pairs[j].tolist()) for j in cand[target]}
     assert got == {(0, 1), (1, 2)}  # (A,B) and (B,C)
 
 
 def test_two_entities_have_empty_candidates_and_identity_update():
     pairs = pairs_over(2)
-    cand = chain_candidates(pairs, "chains")
+    cand = candidates(pairs, "chains")
     assert all(c.size == 0 for c in cand)
     rng = np.random.default_rng(0)
     reps = rng.normal(size=(2, 6))
@@ -72,24 +71,24 @@ def test_two_entities_have_empty_candidates_and_identity_update():
 def test_candidate_count_is_2n_minus_4():
     for n in (3, 4, 6):
         pairs = pairs_over(n)
-        cand = chain_candidates(pairs, "chains")
+        cand = candidates(pairs, "chains")
         assert all(c.size == 2 * (n - 2) for c in cand)
 
 
 def test_all_mode_includes_every_other_pair():
     pairs = pairs_over(3)
-    cand = chain_candidates(pairs, "all")
+    cand = candidates(pairs, "all")
     assert all(c.size == len(pairs) - 1 for c in cand)
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ConfigError):
-        chain_candidates(pairs_over(2), "some")
+        candidates(pairs_over(2), "some")
 
 
 def test_zero_weight_update_averages_pool():
     pairs = pairs_over(3)
-    cand = chain_candidates(pairs, "chains")
+    cand = candidates(pairs, "chains")
     rng = np.random.default_rng(1)
     reps = rng.normal(size=(6, 6))
     updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(np.zeros((6, 6))))
@@ -123,7 +122,7 @@ def test_gamma_rows_sum_to_one_and_convex_hull():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         pairs = pairs_over(max(2, int(np.ceil((1 + np.sqrt(1 + 4 * n)) / 2))))[:n]
-        cand = chain_candidates(pairs, "all")
+        cand = candidates(pairs, "all")
         reps = rng.normal(size=(n, 4))
         updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(rng.normal(size=(4, 4))))
         np.testing.assert_allclose(gamma.sum(axis=1), np.ones(n), atol=1e-6)
@@ -139,19 +138,18 @@ def test_update_is_synchronous_under_pool_permutation():
     pairs = pairs_over(4)
     reps = rng.normal(size=(len(pairs), 6))
     w = rng.normal(size=(6, 6))
-    cand = chain_candidates(pairs, "chains")
+    cand = candidates(pairs, "chains")
     updated, _ = reasoning_update(Tensor(reps), cand, Tensor(w))
 
     perm = rng.permutation(len(pairs))
     inv = np.argsort(perm)
-    pairs_p = [pairs[j] for j in perm]
-    cand_p = chain_candidates(pairs_p, "chains")
+    cand_p = candidates(pairs[perm], "chains")
     updated_p, _ = reasoning_update(Tensor(reps[perm]), cand_p, Tensor(w))
     np.testing.assert_allclose(updated_p.data[inv], updated.data, atol=1e-9)
 
 
 def test_width_mismatch_rejected():
     pairs = pairs_over(2)
-    cand = chain_candidates(pairs, "chains")
+    cand = candidates(pairs, "chains")
     with pytest.raises(ShapeError):
         reasoning_update(Tensor(np.zeros((2, 6))), cand, Tensor(np.zeros((4, 4))))

@@ -13,8 +13,8 @@ from docrel.errors import ContractError, TrainingDiverged
 from docrel.evaluation import write_predictions
 from docrel.model import prepare_document
 from docrel.training import (EpochStats, PredictionSet, PredRecord, calibrate_threshold,
-                             gold_instance_set, predict_documents, train_model)
-from gen import rule_corpus
+                             predict_documents, train_model)
+from gen import gold_instance_set, rule_corpus
 
 
 def sweep_oracle(scores, gold):
@@ -215,7 +215,7 @@ def per_record_predictions(model, features):
     for feats in features:
         out = model.forward(feats)
         probs = out.probs.data
-        for i, p in enumerate(out.pairs):
+        for i, p in enumerate(feats.pairs[j] for j in out.rows):
             for r in range(probs.shape[1]):
                 recs.append(PredRecord(feats.doc.title, p.head, p.tail, r, float(probs[i, r])))
     return recs
