@@ -20,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,27 +52,36 @@ class Checkpoint:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], config_text: str, meta: dict | None = None) -> None:
+    """Write the checkpoint atomically: records stream into a temporary file next
+    to `path`, which replaces `path` only once complete. On failure the temporary
+    file is removed and an existing file at `path` is left as it was."""
+    path = Path(path)
     meta_blob = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
     config_blob = config_text.encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += hashlib.sha256(config_blob).digest()
-    out += struct.pack("<I", len(config_blob))
-    out += config_blob
-    out += struct.pack("<I", len(meta_blob))
-    out += meta_blob
-    out += struct.pack("<I", len(arrays))
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if arr.dtype not in _DTYPE_OF:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for parameter {name!r}")
-        name_blob = name.encode("utf-8")
-        out += struct.pack("<H", len(name_blob))
-        out += name_blob
-        out += struct.pack("<BB", _DTYPE_OF[arr.dtype], arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        out += arr.astype(f"<f{arr.dtype.itemsize}", copy=False).tobytes(order="C")
-    Path(path).write_bytes(bytes(out))
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(hashlib.sha256(config_blob).digest())
+            fh.write(struct.pack("<I", len(config_blob)) + config_blob)
+            fh.write(struct.pack("<I", len(meta_blob)) + meta_blob)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr)
+                if arr.dtype not in _DTYPE_OF:
+                    raise CheckpointError(f"unsupported dtype {arr.dtype} for parameter {name!r}")
+                name_blob = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_blob)) + name_blob)
+                fh.write(struct.pack("<BB", _DTYPE_OF[arr.dtype], arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                values = np.ascontiguousarray(arr, dtype=f"<f{arr.dtype.itemsize}")
+                fh.write(memoryview(values.reshape(-1)).cast("B"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

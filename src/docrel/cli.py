@@ -39,7 +39,6 @@ _ERROR_CODES = [
     (ParseError, EXIT_BAD_DATA, "bad-data"),
     (ValidationError, EXIT_BAD_DATA, "bad-data"),
     (ContractError, EXIT_BAD_DATA, "bad-data"),
-    (FileNotFoundError, EXIT_MISSING_FILE, "missing-file"),
 ]
 
 
@@ -57,8 +56,6 @@ def _load_config(args) -> TrainingConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
-    if getattr(args, "reasoning_pool", None):
-        config.reasoning_pool = args.reasoning_pool
     if getattr(args, "allow_overlap", None):
         config.allow_overlap = args.allow_overlap
     if getattr(args, "no_reasoning", False):
@@ -79,8 +76,12 @@ def _load_model(checkpoint_path, config_path=None) -> tuple[RelationModel, Vocab
         if wanted != ckpt.config_text:
             raise CheckpointError(
                 f"{checkpoint_path}: checkpoint was trained with a different config")
-    config = TrainingConfig.from_mapping(
-        dict(line.split(" = ", 1) for line in ckpt.config_text.strip().splitlines()))
+    try:
+        mapping = dict(line.split(" = ", 1) for line in ckpt.config_text.strip().splitlines())
+    except ValueError as e:  # a line without " = "
+        raise CheckpointError(f"{checkpoint_path}: malformed config text in the checkpoint "
+                              f"({e})") from e
+    config = TrainingConfig.from_mapping(mapping)
     try:
         vocab = Vocabulary.from_json(ckpt.meta["vocab"])
         threshold = float(ckpt.meta.get("threshold", 0.5))
@@ -242,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dev", help="dev set for periodic evaluation")
     train.add_argument("--epochs", type=int, help="override the config epoch count")
     train.add_argument("--topk", type=int, help="override the top-K context size")
-    train.add_argument("--reasoning-pool", choices=("chains", "all"), dest="reasoning_pool")
     train.add_argument("--no-reasoning", action="store_true", dest="no_reasoning")
     train.add_argument("--no-context", action="store_true", dest="no_context")
     train.add_argument("--inter4intra", action="store_true", dest="inter4intra")
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
             if isinstance(e, cls):
                 return _fail(code, name, str(e))
         return _fail(1, "error", str(e))
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:
         return _fail(EXIT_MISSING_FILE, "missing-file", str(e))
 
 

@@ -44,7 +44,6 @@ class TrainingConfig:
     # pair representation
     intra_average: str = "flat"   # flat | nested instance averaging
     # reasoning
-    reasoning_pool: str = "chains"  # chains | all
     reasoning_layers: int = 1
     # decision rule
     threshold: float = 0.5        # used when no dev set is available
@@ -92,8 +91,6 @@ class TrainingConfig:
             raise ConfigError(f"min_freq must be >= 1: {self.min_freq}")
         if self.loss_reduction not in ("sum", "mean"):
             raise ConfigError(f"loss_reduction must be sum or mean: {self.loss_reduction!r}")
-        if self.reasoning_pool not in ("chains", "all"):
-            raise ConfigError(f"reasoning_pool must be chains or all: {self.reasoning_pool!r}")
         if self.allow_overlap not in ("reject", "first-wins"):
             raise ConfigError(f"allow_overlap must be reject or first-wins: {self.allow_overlap!r}")
         if self.intra_average not in ("flat", "nested"):

@@ -101,11 +101,14 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
             ))
 
     if out.gamma is not None:
-        record.gamma_row = out.gamma[idx].copy()
-        cand = out.candidates[idx]
-        record.candidate_ids = cand.copy()
+        # scatter the pair's 2L cell weights onto the rows behind them
+        cells = out.groups.cells(idx)
+        kept = cells >= 0
+        record.gamma_row = np.zeros(len(out.rows))
+        record.gamma_row[cells[kept]] = out.gamma[idx, kept]
+        record.candidate_ids = np.sort(cells[kept & (cells != idx)])
         views = [ChainView(head=head, tail=tail, gamma=float(record.gamma_row[idx]), is_self=True)]
-        for j in cand:
+        for j in record.candidate_ids:
             row = out.rows[j]
             views.append(ChainView(head=int(feats.heads[row]), tail=int(feats.tails[row]),
                                    gamma=float(record.gamma_row[j])))

@@ -18,7 +18,7 @@ from .graph import EdgeKind, MentionGraph, build_mention_graph
 from .inter import InterRoute, RgcnParams, aggregation_matrices, node_final_rep, propagate
 from .intra import IntraInstances, IntraRoute, intra_instances, span_means
 from .optim import Parameter
-from .reasoning import chain_candidates, reasoning_update
+from .reasoning import ChainGroups, chain_candidates, reasoning_update
 
 BCE_EPS = 1e-12
 
@@ -163,8 +163,8 @@ class DocForward:
     block_row: np.ndarray                # (P,) row of each pair in [intra block; inter block]
     pool_input: Tensor                   # (P, 3d) matrix entering the last reasoning layer
     reps_post: Tensor                    # (P, 3d) matrix after reasoning (== pool when disabled)
-    gamma: np.ndarray | None             # (P, P) attention of the last reasoning layer
-    candidates: list[np.ndarray] | None
+    gamma: np.ndarray | None             # (P, 2L) cell weights of the last reasoning layer
+    groups: ChainGroups | None           # head and tail groups behind the gamma cells
     probs: Tensor                        # (P, |R|)
 
 
@@ -276,17 +276,16 @@ class RelationModel:
             dm = cfg.model_width
             reps_pre = reps_pre * ad.constant(np.repeat([1.0, 0.0], [2 * dm, dm]))
         pool = pool_input = reps_pre
-        gamma = None
-        candidates = None
+        gamma = groups = None
         if not cfg.no_reasoning:
-            candidates = chain_candidates(feats.heads[rows], feats.tails[rows], cfg.reasoning_pool)
+            groups = chain_candidates(feats.heads[rows], feats.tails[rows])
             for _ in range(cfg.reasoning_layers):
                 pool_input = pool
-                pool, gamma = reasoning_update(pool, candidates, self.w_att.tensor)
+                pool, gamma = reasoning_update(pool, groups, self.w_att.tensor)
         probs = relation_probabilities(pool, self.classifier, dropout, ("cls",))
         return DocForward(rows=rows, reps_pre=reps_pre, intra=intra, inter=inter,
                           block_row=block_row, pool_input=pool_input, reps_post=pool,
-                          gamma=gamma, candidates=candidates, probs=probs)
+                          gamma=gamma, groups=groups, probs=probs)
 
     def document_loss(self, feats: DocFeatures, rows: np.ndarray | None = None,
                       dropout: DropoutState = _NO_DROPOUT) -> Tensor:

@@ -1,62 +1,208 @@
 """Logical reasoning over the pooled pair representations.
 
-Each pair attends over chain-compatible pairs, i.e. pairs sharing its head or
-its tail, and is replaced by the attention-weighted sum. One layer covers all
-two-hop chains; stacking layers extends the horizon.
+Each pair (h, t) attends over the chains through a bridge entity k, i.e. the
+pairs (h, k) and (k, t), plus itself, and is replaced by the attention-weighted
+sum. One layer covers all two-hop chains; stacking layers extends the horizon.
+
+Pairs are unique and have h != t, so that pool is exactly the pair's head group
+{(h, .)} joined with its tail group {(., t)}, which share only the pair itself.
+The update therefore runs as block attention within each group: every pair is
+scored against its two groups, never against a dense (P, P) matrix.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
-POOL_MODES = ("chains", "all")
+BLOCK = 1 << 19
+"""Elements per gathered (groups, L, width) block of `chain_attention`."""
 
 
-def chain_candidates(heads: np.ndarray, tails: np.ndarray,
-                     mode: str = "chains") -> list[np.ndarray]:
-    """Candidate pool indices per pair (heads[i], tails[i]).
+@dataclass
+class ChainGroups:
+    """The head and tail groups of a pair subset, as padded arrays of rows."""
 
-    `chains`: pairs of the form (h, k) or (k, t) with k outside {h, t}.
-    `all`: every other pair. Input order must already be deterministic.
+    members: np.ndarray  # (G, L) rows of each group, ascending, padded with -1; head groups first
+    n_head: int          # members[:n_head] are head groups, the rest tail groups
+    group: np.ndarray    # (P, 2) head group and tail group of each pair
+    slot: np.ndarray     # (P, 2) slot of each pair in its head group and in its tail group
+
+    @property
+    def width(self) -> int:
+        """L, the size of the largest group."""
+        return self.members.shape[1]
+
+    def cells(self, i: int) -> np.ndarray:
+        """(2L,) rows behind pair i's attention cells: its head group, then its tail
+        group with the pair's own slot set to -1 (it is already a head-group cell)."""
+        out = self.members[self.group[i]].ravel()
+        out[self.width + self.slot[i, 1]] = -1
+        return out
+
+
+def _group_by(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sorting order, group of each sorted row, its slot, group sizes) of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    _, start, sizes = np.unique(keys[order], return_index=True, return_counts=True)
+    gid = np.repeat(np.arange(sizes.size), sizes)
+    return order, gid, np.arange(keys.size) - start[gid], sizes
+
+
+def chain_candidates(heads: np.ndarray, tails: np.ndarray) -> ChainGroups:
+    """Head and tail groups of the pairs (heads[i], tails[i]); pairs must be unique, h != t."""
+    heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
+    h_order, h_gid, h_slot, h_sizes = _group_by(heads)
+    t_order, t_gid, t_slot, t_sizes = _group_by(tails)
+    width = int(max(h_sizes.max(initial=0), t_sizes.max(initial=0)))
+    members = np.full((h_sizes.size + t_sizes.size, width), -1, dtype=np.int64)
+    members[h_gid, h_slot] = h_order
+    members[h_sizes.size + t_gid, t_slot] = t_order
+    group = np.empty((heads.size, 2), dtype=np.int64)
+    slot = np.empty((heads.size, 2), dtype=np.int64)
+    group[h_order, 0], slot[h_order, 0] = h_gid, h_slot
+    group[t_order, 1], slot[t_order, 1] = h_sizes.size + t_gid, t_slot
+    return ChainGroups(members=members, n_head=int(h_sizes.size), group=group, slot=slot)
+
+
+def _chunks(groups: ChainGroups, width: int):
+    """(cells, rows, valid, gather rows) per chunk of groups, head groups first.
+
+    Head groups fill cells [0, L) of their members' rows, tail groups [L, 2L).
+    A chunk spans at most BLOCK // (L width) groups, one at least. `rows` are
+    its members at the valid slots in slot order; `valid` is None when no slot
+    is padding. Padding gathers row 0 and is masked by the caller.
     """
-    if mode not in POOL_MODES:
-        raise ConfigError(f"reasoning pool mode must be one of {POOL_MODES}: {mode!r}")
-    heads, tails = np.asarray(heads), np.asarray(tails)
-    n = len(heads)
-    if mode == "all":
-        mask = ~np.eye(n, dtype=bool)
-    else:
-        mask = (heads[:, None] == heads) ^ (tails[:, None] == tails)
-    # flat ids run row by row, so row i's candidates are the ids in [i n, (i + 1) n)
-    cells = np.flatnonzero(mask)
-    return np.split(cells % max(n, 1), np.searchsorted(cells, np.arange(1, n + 1) * n))[:-1]
+    members, L = groups.members, groups.width
+    step = max(1, BLOCK // max(1, L * width))
+    for cells, lo, hi in ((slice(0, L), 0, groups.n_head),
+                          (slice(L, 2 * L), groups.n_head, len(members))):
+        for start in range(lo, hi, step):
+            m = members[start:min(start + step, hi)]
+            valid = m >= 0
+            if valid.all():
+                yield cells, m.ravel(), None, m
+            else:
+                yield cells, m[valid], valid, np.where(valid, m, 0)
 
 
-def reasoning_update(reps: Tensor, candidates: list[np.ndarray],
+def _valid_rows(block: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+    """The (chunk, L, ...) block's entries at valid slots, flattened; a view without padding."""
+    flat = block.reshape(-1, *block.shape[2:])
+    return flat if valid is None else flat[valid.ravel()]
+
+
+class _Buffers:
+    """Reused (chunk, L, width) scratch blocks, so a walk allocates them once."""
+
+    def __init__(self, groups: ChainGroups, width: int, count: int, dtype):
+        step = max(1, BLOCK // max(1, groups.width * width))
+        self.blocks = [np.empty((min(step, len(groups.members)), groups.width, width), dtype)
+                       for _ in range(count)]
+
+    def take(self, k: int, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """a[idx], read-only: a view when idx is a run of consecutive rows."""
+        flat = idx.ravel()
+        if flat[-1] - flat[0] == flat.size - 1 and (np.diff(flat) == 1).all():
+            return a[flat[0]:flat[-1] + 1].reshape(*idx.shape, *a.shape[1:])
+        return np.take(a, idx, axis=0, out=self.blocks[k][:len(idx)])
+
+    def matmul(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.matmul(a, b, out=self.blocks[k][:len(a)])
+
+
+def chain_attention(queries: Tensor, reps: Tensor,
+                    groups: ChainGroups) -> tuple[Tensor, np.ndarray]:
+    """Block attention of every pair over its head and tail groups, as one taped op.
+
+    Pair i scores each row k of its two groups by queries[i] . reps[k]; padding
+    and the pair's own cell in its tail group are masked, one softmax runs over
+    the 2L logits, and the result is the weighted sum of the rows. Returns that
+    (P, width) tensor and the (P, 2L) cell weights gamma, laid out as in
+    `ChainGroups.cells`. Every pair sits in exactly one head and one tail group,
+    so head chunks write each row once and tail chunks add to it. The backward
+    is hand-written for dQ and dR; the finite-difference suite certifies it.
+    """
+    q, r = queries.data, reps.data
+    n, width = r.shape
+    if q.shape != r.shape:
+        raise ShapeError(f"chain_attention: queries {q.shape} vs reps {r.shape}")
+    if groups.group.shape != (n, 2):
+        raise ShapeError(f"chain_attention: groups over {len(groups.group)} pairs, reps {n}")
+    L = groups.width
+    diag = np.arange(L)
+    buf = _Buffers(groups, width, 2, r.dtype)
+
+    logits = np.empty((n, 2 * L))
+    for cells, rows, valid, idx in _chunks(groups, width):
+        s = buf.take(0, q, idx) @ buf.take(1, r, idx).transpose(0, 2, 1)
+        if valid is not None:
+            np.copyto(s, -np.inf, where=~valid[:, None, :])
+        if cells.start:  # the pair itself is already a cell of its head group
+            s[:, diag, diag] = -np.inf
+        logits[rows, cells] = _valid_rows(s, valid)
+    gamma = np.exp(logits - logits.max(axis=1, keepdims=True))
+    gamma /= gamma.sum(axis=1, keepdims=True)
+
+    out = np.empty((n, width), r.dtype)
+    for cells, rows, valid, idx in _chunks(groups, width):
+        part = _valid_rows(buf.matmul(0, gamma[idx, cells], buf.take(1, r, idx)), valid)
+        if cells.start:
+            out[rows] += part
+        else:
+            out[rows] = part
+
+    def bw(grad):
+        buf = _Buffers(groups, width, 3, r.dtype)
+        # d_gamma[i, c] = grad[i] . r[cell c]; reps also get gamma^T grad per group
+        d_gamma = np.empty((n, 2 * L))
+        d_r = np.zeros((n, width)) if reps.requires_grad else None
+        for cells, rows, valid, idx in _chunks(groups, width):
+            g_blk, r_blk = buf.take(0, grad, idx), buf.take(1, r, idx)
+            d_gamma[rows, cells] = _valid_rows(g_blk @ r_blk.transpose(0, 2, 1), valid)
+            if d_r is not None:
+                w = gamma[idx, cells]
+                if valid is not None:
+                    w[~valid] = 0.0
+                d_r[rows] += _valid_rows(buf.matmul(2, w.transpose(0, 2, 1), g_blk), valid)
+        # softmax backward; masked cells carry zero weight, so they get zero
+        d_s = gamma * (d_gamma - (d_gamma * gamma).sum(axis=1, keepdims=True))
+        d_q = np.empty((n, width)) if queries.requires_grad else None
+        for cells, rows, valid, idx in _chunks(groups, width):
+            s_blk = d_s[idx, cells]
+            if valid is not None:
+                s_blk[~valid] = 0.0
+            if d_q is not None:
+                part = _valid_rows(buf.matmul(2, s_blk, buf.take(1, r, idx)), valid)
+                if cells.start:
+                    d_q[rows] += part
+                else:
+                    d_q[rows] = part
+            if d_r is not None:
+                d_r[rows] += _valid_rows(
+                    buf.matmul(2, s_blk.transpose(0, 2, 1), buf.take(0, q, idx)), valid)
+        if d_q is not None:
+            ad._accum(queries, d_q)
+        if d_r is not None:
+            ad._accum(reps, d_r)
+
+    return ad._result(out, bw, queries, reps), gamma
+
+
+def reasoning_update(reps: Tensor, groups: ChainGroups,
                      w_att: Tensor) -> tuple[Tensor, np.ndarray]:
-    """One synchronous self-attention pass over the pair pool.
+    """One synchronous self-attention pass over the chain pools.
 
-    gamma_i = softmax over candidates(i) + {i} of (W r_i) . r_k, and the new
+    gamma_i = softmax over the pool of pair i of (W r_i) . r_k, and the new
     representation is the gamma-weighted sum of the old ones. Returns the new
-    (P, 3d) matrix and the dense (P, P) gamma matrix (zeros outside the pool).
+    (P, 3d) matrix and the (P, 2L) gamma of `chain_attention`.
     """
-    n, width = reps.shape
+    width = reps.shape[1]
     if w_att.shape != (width, width):
         raise ShapeError(f"reasoning_update: weight {w_att.shape}, expected {(width, width)}")
-    if len(candidates) != n:
-        raise ShapeError(f"reasoning_update: {len(candidates)} candidate sets for {n} pairs")
-    # one scatter opens each row's diagonal cell and its candidate cells
-    sizes = np.fromiter(map(len, candidates), np.int64, n)
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), sizes)])
-    cols = np.concatenate([np.arange(n), *candidates])
-    mask = np.full((n, n), -np.inf)
-    mask[rows, cols] = 0.0
-    queries = ad.linear(reps, w_att)
-    scores = ad.matmul(queries, ad.transpose(reps)) + ad.constant(mask)
-    gamma = ad.softmax(scores)
-    updated = ad.matmul(gamma, reps)
-    return updated, gamma.data.copy()
+    return chain_attention(ad.linear(reps, w_att), reps, groups)

@@ -136,6 +136,14 @@ class TrainResult:
     threshold: float = 0.5
 
 
+def _titles(titles: list[str], shown: int = 3) -> str:
+    """' (a, b, ...)' naming the first few titles, or '' for none."""
+    if not titles:
+        return ""
+    more = ", ..." if len(titles) > shown else ""
+    return f" ({', '.join(map(repr, titles[:shown]))}{more})"
+
+
 def train_model(train_docs: list[Document], config: TrainingConfig,
                 dev_docs: list[Document] | None = None,
                 vocab: Vocabulary | None = None,
@@ -153,6 +161,15 @@ def train_model(train_docs: list[Document], config: TrainingConfig,
     features = [prepare_document(d, vocab, config.allow_overlap) for d in train_docs]
     dev_features = [prepare_document(d, vocab, config.allow_overlap) for d in dev_docs] \
         if dev_docs else None
+
+    # the sampler keeps gold rows and draws negatives in proportion, so a document
+    # without a pair or without a gold fact gives no rows in any epoch
+    no_pairs = [f.doc.title for f in features if not f.heads.size]
+    no_facts = [f.doc.title for f in features if f.heads.size and not f.gold.any()]
+    if no_pairs or no_facts:
+        log(f"train_model: {len(no_pairs) + len(no_facts)} of {len(features)} documents give "
+            f"no training rows: {len(no_pairs)} without an entity pair{_titles(no_pairs)}, "
+            f"{len(no_facts)} without a gold fact{_titles(no_facts)}")
 
     model = RelationModel(config, vocab)
     optimizer = AdamW(model.parameters(), lr=config.learning_rate,

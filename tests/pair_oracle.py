@@ -1,10 +1,12 @@
-"""Per-pair reference for the pair routes: one Python object and one small
-graph per pair, or per (head mention, tail mention) instance.
+"""Per-pair reference for the pair routes and reasoning: one Python object and
+one small graph per pair, or per (head mention, tail mention) instance, and a
+dense (P, P) chain attention.
 
-This is the pair-route code the whole-document routes in `docrel.intra`,
-`docrel.inter` and `RelationModel.forward` replaced, kept as the oracle they
-are compared against. It reuses the model's parameters and every layer
-outside the pair routes (encoders, R-GCN, reasoning, classifier).
+This is the code the whole-document routes in `docrel.intra`, `docrel.inter`
+and `RelationModel.forward`, and the block attention of `docrel.reasoning`,
+replaced, kept as the oracle they are compared against. It reuses the model's
+parameters and every layer outside the pair routes and reasoning (encoders,
+R-GCN, classifier).
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from docrel import autodiff as ad
 from docrel.autodiff import Tensor
 from docrel.corpus import Document, EntityPair, PairKind
 from docrel.encoders import embed_tokens, encode_document, encode_sentence
-from docrel.errors import ContractError
+from docrel.errors import ContractError, ShapeError
 from docrel.explain import (ChainView, EvidenceView, ExplanationRecord, IntraContextView,
                             WordHighlight)
 from docrel.inter import EVIDENCE_EPS, node_final_rep, propagate
 from docrel.model import _NO_DROPOUT, DocFeatures, DropoutState, RelationModel, bce_loss
 from docrel.model import relation_probabilities
-from docrel.reasoning import chain_candidates, reasoning_update
 
 
 @dataclass
@@ -156,6 +157,35 @@ def inter_pair_rep(pair: EntityPair, head: Tensor, tail: Tensor, m_sentences: Te
         provenance=EvidenceDistribution(scores=scores.data.copy(), alpha=alpha.data.copy()))
 
 
+def chain_candidates(heads: np.ndarray, tails: np.ndarray) -> list[np.ndarray]:
+    """Candidate pool of each pair (heads[i], tails[i]): the pairs (h, k) and (k, t)
+    with k outside {h, t}, ascending."""
+    heads, tails = np.asarray(heads), np.asarray(tails)
+    n = len(heads)
+    mask = (heads[:, None] == heads) ^ (tails[:, None] == tails)
+    # flat ids run row by row, so row i's candidates are the ids in [i n, (i + 1) n)
+    cells = np.flatnonzero(mask)
+    return np.split(cells % max(n, 1), np.searchsorted(cells, np.arange(1, n + 1) * n))[:-1]
+
+
+def reasoning_update(reps: Tensor, candidates: list[np.ndarray],
+                     w_att: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Dense self-attention over the pool: a (P, P) mask, scores and softmax.
+    Returns the new (P, 3d) matrix and the (P, P) gamma (zeros outside the pool)."""
+    n, width = reps.shape
+    if w_att.shape != (width, width):
+        raise ShapeError(f"reasoning_update: weight {w_att.shape}, expected {(width, width)}")
+    sizes = np.fromiter(map(len, candidates), np.int64, n)
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), sizes)])
+    cols = np.concatenate([np.arange(n), *candidates])
+    mask = np.full((n, n), -np.inf)
+    mask[rows, cols] = 0.0
+    queries = ad.linear(reps, w_att)
+    scores = ad.matmul(queries, ad.transpose(reps)) + ad.constant(mask)
+    gamma = ad.softmax(scores)
+    return ad.matmul(gamma, reps), gamma.data.copy()
+
+
 def mention_doc_spans(feats: DocFeatures) -> list[tuple[int, int]]:
     spans = []
     for node in feats.graph.nodes[:len(feats.graph.mention_nodes)]:
@@ -219,7 +249,7 @@ def forward(model: RelationModel, feats: DocFeatures, rows=None,
     candidates = None
     if not cfg.no_reasoning:
         candidates = chain_candidates(np.array([p.head for p in pairs]),
-                                      np.array([p.tail for p in pairs]), cfg.reasoning_pool)
+                                      np.array([p.tail for p in pairs]))
         for _ in range(cfg.reasoning_layers):
             pool_input = pool
             pool, gamma = reasoning_update(pool, candidates, model.w_att.tensor)

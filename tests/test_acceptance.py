@@ -234,16 +234,20 @@ def test_criterion_5_normalization_convexity():
         if np.any(context < m.min(axis=0) - slack) or np.any(context > m.max(axis=0) + slack):
             hull_violations += 1
 
-        # reasoning update over a random pool
-        n_pairs = int(rng.integers(2, 6))
+        # reasoning update over a random pair subset of 2-5 entities
+        n_entities = int(rng.integers(2, 6))
+        pairs = np.array([(h, t) for h in range(n_entities) for t in range(n_entities)
+                          if h != t])
+        pairs = pairs[np.sort(rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))])]
+        n_pairs = len(pairs)
         reps = rng.normal(size=(n_pairs, 3 * d))
-        cand = [np.array([j for j in range(n_pairs) if j != i and rng.random() < 0.6],
-                         dtype=np.int64) for i in range(n_pairs)]
-        updated, gamma = reasoning_update(Tensor(reps), cand,
+        groups = chain_candidates(pairs[:, 0], pairs[:, 1])
+        updated, gamma = reasoning_update(Tensor(reps), groups,
                                           Tensor(rng.normal(size=(3 * d, 3 * d))))
         worst_sum = max(worst_sum, float(np.abs(gamma.sum(axis=1) - 1.0).max()))
         for i in range(n_pairs):
-            members = sorted([i] + list(cand[i]))
+            cells = groups.cells(i)
+            members = cells[cells >= 0]
             lo = reps[members].min(axis=0) - 1e-9
             hi = reps[members].max(axis=0) + 1e-9
             if np.any(updated.data[i] < lo) or np.any(updated.data[i] > hi):

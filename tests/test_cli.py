@@ -336,3 +336,51 @@ def test_train_survives_an_empty_sentence(workspace):
     code = main(["train", "--data", str(data), "--config", str(workspace / "config.txt"),
                  "--epochs", "1", "--out", str(workspace / "run-empty-sentence")])
     assert code == EXIT_OK
+
+
+def test_malformed_checkpoint_config_text_maps_to_checkpoint_error(workspace, trained, capsys):
+    from docrel.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = load_checkpoint(trained / "model.ckpt")
+    bad = workspace / "garbage-config.ckpt"
+    save_checkpoint(bad, ckpt.arrays, "garbage\n", meta=ckpt.meta)
+    code = main(["predict", "--data", str(workspace / "dev.json"),
+                 "--checkpoint", str(bad), "--out", str(workspace / "pred-garbage")])
+    assert code == EXIT_CHECKPOINT_MISMATCH
+    assert "malformed config text" in capsys.readouterr().err
+
+
+def test_checkpoint_with_the_removed_reasoning_pool_key_is_a_bad_config(workspace, trained,
+                                                                       capsys):
+    from docrel.checkpoint import load_checkpoint, save_checkpoint
+    ckpt = load_checkpoint(trained / "model.ckpt")
+    old = workspace / "reasoning-pool.ckpt"
+    save_checkpoint(old, ckpt.arrays, ckpt.config_text + "reasoning_pool = chains\n",
+                    meta=ckpt.meta)
+    code = main(["predict", "--data", str(workspace / "dev.json"),
+                 "--checkpoint", str(old), "--out", str(workspace / "pred-pool")])
+    assert code == EXIT_BAD_CONFIG
+    assert "reasoning_pool" in capsys.readouterr().err
+
+
+def test_reasoning_pool_flag_is_gone(workspace):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(workspace / "train.json"),
+              "--out", str(workspace / "pool"), "--reasoning-pool", "chains"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "graph-stats --data {dir}",
+    "predict --data {dev} --checkpoint {dir} --out {out}",
+    "eval --data {dev} --checkpoint {ckpt} --train {dir}",
+    "predict --data {dev} --checkpoint {ckpt} --config {dir} --out {out}",
+], ids=["graph-stats-data", "predict-checkpoint", "eval-train", "predict-config"])
+def test_a_directory_where_a_file_is_expected_is_a_missing_file(workspace, trained, argv,
+                                                                capsys):
+    directory = workspace / "a-directory"
+    directory.mkdir(exist_ok=True)
+    code = main(argv.format(dir=directory, dev=workspace / "dev.json",
+                            ckpt=trained / "model.ckpt", out=workspace / "pred-dir").split())
+    assert code == EXIT_MISSING_FILE
+    err = capsys.readouterr().err
+    assert "code=missing-file" in err and str(directory) in err

@@ -64,7 +64,7 @@ def test_malformed_line_rejected(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("dropout", 1.0), ("dropout", -0.1), ("neg_ratio", 0.0), ("neg_ratio", 1.5),
     ("learning_rate", 0.0), ("beta", 1.5), ("gcn_layers", 0), ("topk", 0),
-    ("loss_reduction", "median"), ("reasoning_pool", "ring"), ("epochs", -1),
+    ("loss_reduction", "median"), ("epochs", -1),
     ("allow_overlap", "maybe"), ("weight_decay", -1.0),
 ])
 def test_validation_rejects_out_of_range(field, value):

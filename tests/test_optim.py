@@ -1,5 +1,6 @@
 """AdamW against a hand-stepped recurrence and the whole-array update; checkpoint round-trips."""
 
+import hashlib
 import os
 import tracemalloc
 
@@ -319,3 +320,34 @@ def test_checkpoint_float32_records(tmp_path):
     loaded = load_checkpoint(path).arrays["a"]
     assert loaded.dtype == np.float32
     assert loaded.tobytes() == arr.tobytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the SHA-256 of this checkpoint as written before saving was streamed
+    rng = np.random.default_rng(2024)
+    arrays = {"enc.w": rng.normal(size=(3, 4)), "enc.b": rng.normal(size=5).astype(np.float32),
+              "enc.t": rng.normal(size=(4, 2)).T, "empty": np.zeros((0, 2)),
+              "scalar": np.array(1.5)}
+    path = tmp_path / "pinned.ckpt"
+    save_checkpoint(path, arrays, "hidden_size = 8\nseed = 3\n",
+                    meta={"threshold": 0.25, "vocab": {"w": [1, 2]}})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "790fbe2179f9c0abeca85f4425c7412ec68cb873b776ee8ca33fded069718070"
+
+
+def test_failed_checkpoint_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "model.ckpt"
+    old = small_checkpoint(path)
+    # the first record is streamed out before the second one's dtype fails
+    with pytest.raises(CheckpointError, match="unsupported dtype"):
+        save_checkpoint(path, {"w": np.ones(3), "bad": np.arange(3)}, "k = v\n")
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_onto_a_directory_leaves_no_temp(tmp_path):
+    target = tmp_path / "model.ckpt"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_checkpoint(target, {"w": np.ones(3)}, "k = v\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -104,7 +104,11 @@ def test_routes_match_the_per_pair_oracle(world, name, subset):
         np.testing.assert_allclose(got.reps_pre.data,
                                    np.stack([r.vector.data for r in want.reps_pre]),
                                    rtol=0, atol=ATOL)
+        np.testing.assert_allclose(got.reps_post.data, want.reps_post.data, rtol=0, atol=ATOL)
         np.testing.assert_allclose(got.probs.data, want.probs.data, rtol=0, atol=ATOL)
+        assert (got.gamma is None) == (want.gamma is None)
+        if want.gamma is not None:
+            np.testing.assert_allclose(dense_gamma(got), want.gamma, rtol=0, atol=ATOL)
 
         loss, grads = gradients(lambda: model.document_loss(feats, rows, dropout), model)
         loss_ref, grads_ref = gradients(
@@ -116,6 +120,16 @@ def test_routes_match_the_per_pair_oracle(world, name, subset):
             else:
                 np.testing.assert_allclose(grads[pname], g_ref, rtol=0, atol=ATOL,
                                            err_msg=pname)
+
+
+def dense_gamma(out):
+    """(P, P) reasoning weights scattered from the (P, 2L) cells of a forward."""
+    dense = np.zeros((len(out.rows),) * 2)
+    for i in range(len(out.rows)):
+        cells = out.groups.cells(i)
+        kept = cells >= 0
+        dense[i, cells[kept]] = out.gamma[i, kept]
+    return dense
 
 
 def intra_views(record):
@@ -152,8 +166,7 @@ def assert_records_match(got, want):
                                [v.gamma for v in sorted(want.chains, key=key)], rtol=0, atol=ATOL)
 
 
-@pytest.mark.parametrize("name", ["flat", "nested", "topk_at_or_above_length", "inter4intra",
-                                  "no_context", "no_reasoning"])
+@pytest.mark.parametrize("name", list(CONFIGS))
 def test_explanations_match_the_per_pair_oracle(world, name):
     docs, vocab, features = world
     model = make_model(vocab, dropout=0.0, **CONFIGS[name])

@@ -1,11 +1,17 @@
-"""Chain candidate sets and the synchronous self-attention update."""
+"""Chain groups and the block self-attention update, against the dense oracle."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docrel.autodiff import Tensor
-from docrel.errors import ConfigError, ShapeError
-from docrel.reasoning import chain_candidates, reasoning_update
+import pair_oracle
+from docrel import autodiff as ad
+from docrel.autodiff import Tape, Tensor, backward, check_gradients
+from docrel.errors import ShapeError
+from docrel.reasoning import chain_attention, chain_candidates, reasoning_update
 
 
 def pairs_over(n):
@@ -14,120 +20,146 @@ def pairs_over(n):
                     dtype=np.int64).reshape(-1, 2)
 
 
-def candidates(pairs, mode):
-    return chain_candidates(pairs[:, 0], pairs[:, 1], mode)
+def groups_of(pairs):
+    return chain_candidates(pairs[:, 0], pairs[:, 1])
 
 
-def per_pair_candidates(pairs, mode):
-    """Pool of each pair by a comprehension over all other pairs."""
+def pools(groups):
+    """Ascending rows of each pair's pool, itself included, read from its cells."""
     out = []
-    for i, (h, t) in enumerate(pairs):
-        if mode == "all":
-            cand = [j for j in range(len(pairs)) if j != i]
-        else:
-            cand = [
-                j for j, (qh, qt) in enumerate(pairs)
-                if j != i and ((qh == h and qt != t) or (qt == t and qh != h))
-            ]
-        out.append(np.asarray(cand, dtype=np.int64))
+    for i in range(len(groups.group)):
+        cells = groups.cells(i)
+        out.append(np.sort(cells[cells >= 0]))
     return out
 
 
-@pytest.mark.parametrize("mode", ["chains", "all"])
-def test_candidates_match_per_pair_oracle(mode):
+def per_pair_pools(pairs):
+    """Pool of each pair by a comprehension over all pairs: itself, and the pairs
+    sharing exactly one of its head and tail."""
+    return [np.array([j for j, (qh, qt) in enumerate(pairs)
+                      if j == i or (qh == h) != (qt == t)], dtype=np.int64)
+            for i, (h, t) in enumerate(pairs)]
+
+
+def dense_gamma(groups, gamma):
+    """(P, P) weights scattered from the (P, 2L) cells."""
+    out = np.zeros((len(gamma), len(gamma)))
+    for i in range(len(gamma)):
+        cells = groups.cells(i)
+        kept = cells >= 0
+        out[i, cells[kept]] = gamma[i, kept]
+    return out
+
+
+def random_subset(rng, n_entities):
+    """A non-empty random subset of the pairs of n entities, in pair order."""
+    pairs = pairs_over(n_entities)
+    size = int(rng.integers(1, len(pairs) + 1))
+    return pairs[np.sort(rng.permutation(len(pairs))[:size])]
+
+
+def test_candidates_match_per_pair_oracle():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 5, 8):
         pairs = pairs_over(n)
         subset = pairs[np.sort(rng.permutation(len(pairs))[:len(pairs) // 2])]
         for pool in (pairs, subset, pairs[::-1]):
-            got = candidates(pool, mode)
-            want = per_pair_candidates(pool, mode)
+            got, want = pools(groups_of(pool)), per_pair_pools(pool)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_cells_equal_the_dense_oracle_pools(n_entities, data):
+    pairs = pairs_over(n_entities)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    order = data.draw(st.permutations(range(int(np.sum(keep)))))
+    subset = pairs[np.asarray(keep, dtype=bool)][list(order)].reshape(-1, 2)
+    groups = groups_of(subset)
+    candidates = pair_oracle.chain_candidates(subset[:, 0], subset[:, 1])
+    for i, pool in enumerate(pools(groups)):
+        np.testing.assert_array_equal(pool, np.sort(np.append(candidates[i], i)))
+    # layout: head groups first, ascending rows, padding at the end, slots consistent
+    m = groups.members
+    assert m.shape[1] == groups.width
+    for g, row in enumerate(m):
+        size = int((row >= 0).sum())
+        assert size and (row[size:] == -1).all()
+        assert (np.diff(row[:size]) > 0).all()
+        key = subset[row[:size], 0 if g < groups.n_head else 1]
+        assert (key == key[0]).all()
+    for i in range(len(subset)):
+        assert groups.group[i, 0] < groups.n_head <= groups.group[i, 1]
+        assert (m[groups.group[i], groups.slot[i]] == i).all()
+
+
 def test_three_entity_chain_example():
     pairs = pairs_over(3)
     index = {(h, t): i for i, (h, t) in enumerate(pairs.tolist())}
-    cand = candidates(pairs, "chains")
     target = index[(0, 2)]  # (A, C)
-    got = {tuple(pairs[j].tolist()) for j in cand[target]}
+    got = {tuple(pairs[j].tolist()) for j in pools(groups_of(pairs))[target] if j != target}
     assert got == {(0, 1), (1, 2)}  # (A,B) and (B,C)
 
 
 def test_two_entities_have_empty_candidates_and_identity_update():
     pairs = pairs_over(2)
-    cand = candidates(pairs, "chains")
-    assert all(c.size == 0 for c in cand)
+    groups = groups_of(pairs)
+    assert [p.tolist() for p in pools(groups)] == [[0], [1]]
     rng = np.random.default_rng(0)
     reps = rng.normal(size=(2, 6))
-    updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(rng.normal(size=(6, 6))))
+    updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(rng.normal(size=(6, 6))))
     np.testing.assert_allclose(updated.data, reps, atol=0, rtol=0)
-    np.testing.assert_allclose(np.diag(gamma), [1.0, 1.0])
+    np.testing.assert_allclose(np.diag(dense_gamma(groups, gamma)), [1.0, 1.0])
 
 
 def test_candidate_count_is_2n_minus_4():
     for n in (3, 4, 6):
-        pairs = pairs_over(n)
-        cand = candidates(pairs, "chains")
-        assert all(c.size == 2 * (n - 2) for c in cand)
-
-
-def test_all_mode_includes_every_other_pair():
-    pairs = pairs_over(3)
-    cand = candidates(pairs, "all")
-    assert all(c.size == len(pairs) - 1 for c in cand)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ConfigError):
-        candidates(pairs_over(2), "some")
+        assert all(p.size - 1 == 2 * (n - 2) for p in pools(groups_of(pairs_over(n))))
 
 
 def test_zero_weight_update_averages_pool():
     pairs = pairs_over(3)
-    cand = candidates(pairs, "chains")
+    groups = groups_of(pairs)
     rng = np.random.default_rng(1)
     reps = rng.normal(size=(6, 6))
-    updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(np.zeros((6, 6))))
-    for i, c in enumerate(cand):
-        members = sorted([i] + list(c))
+    updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(np.zeros((6, 6))))
+    dense = dense_gamma(groups, gamma)
+    for i, members in enumerate(pools(groups)):
         np.testing.assert_allclose(updated.data[i], reps[members].mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(gamma[i, members], np.full(len(members), 1 / len(members)))
+        np.testing.assert_allclose(dense[i, members], np.full(len(members), 1 / len(members)))
 
 
 def test_update_matches_reference_attention_oracle():
     rng = np.random.default_rng(2)
-    reps = rng.normal(size=(3, 6))
+    pairs = pairs_over(4)[[0, 2, 4, 5, 9, 11]]
+    groups = groups_of(pairs)
+    reps = rng.normal(size=(len(pairs), 6))
     w = rng.normal(size=(6, 6))
-    cand = [np.array([1, 2]), np.array([0]), np.array([0, 1])]
-    updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(w))
-    for i in range(3):
-        members = sorted([i] + list(cand[i]))
+    updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(w))
+    dense = dense_gamma(groups, gamma)
+    for i, members in enumerate(per_pair_pools(pairs)):
         scores = np.array([(w @ reps[i]) @ reps[k] for k in members])
         e = np.exp(scores - scores.max())
         weights = e / e.sum()
         expected = sum(wk * reps[k] for wk, k in zip(weights, members))
         np.testing.assert_allclose(updated.data[i], expected, atol=1e-9)
-        np.testing.assert_allclose(gamma[i, members], weights, atol=1e-9)
-        # excluded pairs carry exactly zero weight
-        excluded = [k for k in range(3) if k not in members]
-        assert np.all(gamma[i, excluded] == 0.0)
+        np.testing.assert_allclose(dense[i, members], weights, atol=1e-9)
+        # pairs outside the pool carry exactly zero weight
+        assert np.all(np.delete(dense[i], members) == 0.0)
 
 
 def test_gamma_rows_sum_to_one_and_convex_hull():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        n = int(rng.integers(2, 7))
-        pairs = pairs_over(max(2, int(np.ceil((1 + np.sqrt(1 + 4 * n)) / 2))))[:n]
-        cand = candidates(pairs, "all")
-        reps = rng.normal(size=(n, 4))
-        updated, gamma = reasoning_update(Tensor(reps), cand, Tensor(rng.normal(size=(4, 4))))
-        np.testing.assert_allclose(gamma.sum(axis=1), np.ones(n), atol=1e-6)
-        for i in range(n):
-            members = sorted([i] + list(cand[i]))
+        pairs = random_subset(rng, int(rng.integers(2, 6)))
+        groups = groups_of(pairs)
+        reps = rng.normal(size=(len(pairs), 4))
+        updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(rng.normal(size=(4, 4))))
+        np.testing.assert_allclose(gamma.sum(axis=1), np.ones(len(pairs)), atol=1e-6)
+        for i, members in enumerate(pools(groups)):
             lo = reps[members].min(axis=0) - 1e-9
             hi = reps[members].max(axis=0) + 1e-9
             assert np.all(updated.data[i] >= lo) and np.all(updated.data[i] <= hi)
@@ -138,18 +170,124 @@ def test_update_is_synchronous_under_pool_permutation():
     pairs = pairs_over(4)
     reps = rng.normal(size=(len(pairs), 6))
     w = rng.normal(size=(6, 6))
-    cand = candidates(pairs, "chains")
-    updated, _ = reasoning_update(Tensor(reps), cand, Tensor(w))
+    updated, _ = reasoning_update(Tensor(reps), groups_of(pairs), Tensor(w))
 
     perm = rng.permutation(len(pairs))
     inv = np.argsort(perm)
-    cand_p = candidates(pairs[perm], "chains")
-    updated_p, _ = reasoning_update(Tensor(reps[perm]), cand_p, Tensor(w))
+    updated_p, _ = reasoning_update(Tensor(reps[perm]), groups_of(pairs[perm]), Tensor(w))
     np.testing.assert_allclose(updated_p.data[inv], updated.data, atol=1e-9)
 
 
 def test_width_mismatch_rejected():
-    pairs = pairs_over(2)
-    cand = candidates(pairs, "chains")
+    groups = groups_of(pairs_over(2))
     with pytest.raises(ShapeError):
-        reasoning_update(Tensor(np.zeros((2, 6))), cand, Tensor(np.zeros((4, 4))))
+        reasoning_update(Tensor(np.zeros((2, 6))), groups, Tensor(np.zeros((4, 4))))
+    with pytest.raises(ShapeError):
+        chain_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 5))), groups)
+    with pytest.raises(ShapeError):
+        chain_attention(Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), groups)
+
+
+def gradients_of(fn, leaves):
+    with Tape():
+        loss = fn()
+        backward(loss)
+        grads = [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return float(loss.data), grads
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_update_and_gradients_match_the_dense_oracle(layers):
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        pairs = random_subset(rng, int(rng.integers(2, 7)))
+        reps = Tensor(rng.normal(size=(len(pairs), 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+        weights = ad.constant(rng.normal(size=(len(pairs), 6)))
+
+        def run(update, pool):
+            def stacked():
+                out = gamma = reps
+                for _ in range(layers):
+                    out, gamma = update(out, pool, w)
+                return out, gamma
+            out, gamma = stacked()
+            loss, grads = gradients_of(lambda: ad.tsum(ad.mul(stacked()[0], weights)), [reps, w])
+            return out.data, gamma, loss, grads
+
+        groups = groups_of(pairs)
+        out, gamma, loss, grads = run(reasoning_update, groups)
+        out_d, gamma_d, loss_d, grads_d = run(
+            pair_oracle.reasoning_update, pair_oracle.chain_candidates(pairs[:, 0], pairs[:, 1]))
+        np.testing.assert_allclose(out, out_d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_gamma(groups, gamma), gamma_d, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(loss_d, abs=1e-12)
+        for a, b in zip(grads, grads_d):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def ragged_cases():
+    """(name, pairs) with groups of unequal size, so padding is exercised."""
+    return [
+        # (0, 3) is alone in its head group; tail groups of 1, 2 and 3 rows
+        ("alone_in_head_group", np.array([[0, 3], [1, 2], [1, 3], [1, 0], [2, 3], [2, 0]])),
+        ("two_entities", pairs_over(2)),
+        ("single_pair", np.array([[2, 1]])),
+        ("full_four", pairs_over(4)),
+    ]
+
+
+@pytest.mark.parametrize("name,pairs", ragged_cases(), ids=[c[0] for c in ragged_cases()])
+def test_chain_attention_finite_differences(name, pairs):
+    rng = np.random.default_rng(11)
+    groups = groups_of(pairs)
+    if name == "alone_in_head_group":
+        sizes = (groups.members >= 0).sum(axis=1)
+        assert sizes[groups.group[0, 0]] == 1 and len(set(sizes.tolist())) > 1
+    queries = Tensor(rng.normal(size=(len(pairs), 5)), requires_grad=True)
+    reps = Tensor(rng.normal(size=(len(pairs), 5)), requires_grad=True)
+    weights = ad.constant(rng.normal(size=(len(pairs), 5)))
+    err, checked, skipped = check_gradients(
+        lambda: ad.tsum(ad.mul(chain_attention(queries, reps, groups)[0], weights)),
+        [queries, reps])
+    assert checked == 2 * queries.size and skipped == 0
+    assert err < 1e-6, err
+
+
+def test_two_reasoning_layers_finite_differences():
+    rng = np.random.default_rng(12)
+    pairs = ragged_cases()[0][1]
+    groups = groups_of(pairs)
+    reps = Tensor(rng.normal(size=(len(pairs), 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)) * 0.5, requires_grad=True)
+    weights = ad.constant(rng.normal(size=(len(pairs), 4)))
+
+    def loss():
+        out, _ = reasoning_update(reps, groups, w)
+        out, _ = reasoning_update(out, groups, w)
+        return ad.tsum(ad.mul(out, weights))
+
+    err, checked, skipped = check_gradients(loss, [reps, w])
+    assert checked == reps.size + w.size and skipped == 0
+    assert err < 1e-6, err
+
+
+def test_forward_and_backward_allocate_no_pair_by_pair_array():
+    rng = np.random.default_rng(13)
+    pairs = pairs_over(40)
+    n = len(pairs)
+    groups = groups_of(pairs)
+    reps = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape():
+            out, _ = reasoning_update(reps, groups, w)
+            backward(ad.tsum(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (P, P) float array alone would take n * n * 8 bytes; the (P, 2L) cells take 1/20 of it
+    assert peak < n * n * 8 / 2, (peak, n * n * 8)

@@ -284,3 +284,22 @@ def test_train_model_leaves_no_tensor_for_the_cyclic_collector():
         if enabled:
             gc.enable()
     assert leaked == 0
+
+
+def test_documents_without_training_rows_are_logged_by_reason():
+    from docrel.corpus import Document, Entity, Mention
+    good = small_corpus()[0]
+    lone = Document("lone", [["a", "b"]], [Entity(0, "PER", [Mention(0, 0, 1, "a")])], [])
+    factless = Document("factless", [["a", "x", "b"]],
+                        [Entity(0, "PER", [Mention(0, 0, 1, "a")]),
+                         Entity(1, "LOC", [Mention(0, 2, 3, "b")])], [])
+    assert good.facts
+    lines = []
+    train_model([good, lone, factless], tiny_config(epochs=2), log=lines.append)
+    skipped = [line for line in lines if "no training rows" in line]
+    assert skipped == ["train_model: 2 of 3 documents give no training rows: "
+                       "1 without an entity pair ('lone'), 1 without a gold fact ('factless')"]
+
+    lines.clear()
+    train_model([good], tiny_config(epochs=1), log=lines.append)
+    assert not any("no training rows" in line for line in lines)
