@@ -186,6 +186,17 @@ def reasoning_update(reps: Tensor, candidates: list[np.ndarray],
     return ad.matmul(gamma, reps), gamma.data.copy()
 
 
+def dense_gamma(groups, gamma: np.ndarray) -> np.ndarray:
+    """The (P, 2L) cell weights of `docrel.reasoning.chain_attention` scattered to
+    the (P, P) layout of `reasoning_update` above."""
+    out = np.zeros((len(gamma),) * 2)
+    for i in range(len(gamma)):
+        cells = groups.cells(i)
+        kept = cells >= 0
+        out[i, cells[kept]] = gamma[i, kept]
+    return out
+
+
 def mention_doc_spans(feats: DocFeatures) -> list[tuple[int, int]]:
     spans = []
     for node in feats.graph.nodes[:len(feats.graph.mention_nodes)]:

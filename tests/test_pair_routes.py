@@ -108,7 +108,8 @@ def test_routes_match_the_per_pair_oracle(world, name, subset):
         np.testing.assert_allclose(got.probs.data, want.probs.data, rtol=0, atol=ATOL)
         assert (got.gamma is None) == (want.gamma is None)
         if want.gamma is not None:
-            np.testing.assert_allclose(dense_gamma(got), want.gamma, rtol=0, atol=ATOL)
+            np.testing.assert_allclose(pair_oracle.dense_gamma(got.groups, got.gamma), want.gamma,
+                                       rtol=0, atol=ATOL)
 
         loss, grads = gradients(lambda: model.document_loss(feats, rows, dropout), model)
         loss_ref, grads_ref = gradients(
@@ -120,16 +121,6 @@ def test_routes_match_the_per_pair_oracle(world, name, subset):
             else:
                 np.testing.assert_allclose(grads[pname], g_ref, rtol=0, atol=ATOL,
                                            err_msg=pname)
-
-
-def dense_gamma(out):
-    """(P, P) reasoning weights scattered from the (P, 2L) cells of a forward."""
-    dense = np.zeros((len(out.rows),) * 2)
-    for i in range(len(out.rows)):
-        cells = out.groups.cells(i)
-        kept = cells >= 0
-        dense[i, cells[kept]] = out.gamma[i, kept]
-    return dense
 
 
 def intra_views(record):

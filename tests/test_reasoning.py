@@ -41,16 +41,6 @@ def per_pair_pools(pairs):
             for i, (h, t) in enumerate(pairs)]
 
 
-def dense_gamma(groups, gamma):
-    """(P, P) weights scattered from the (P, 2L) cells."""
-    out = np.zeros((len(gamma), len(gamma)))
-    for i in range(len(gamma)):
-        cells = groups.cells(i)
-        kept = cells >= 0
-        out[i, cells[kept]] = gamma[i, kept]
-    return out
-
-
 def random_subset(rng, n_entities):
     """A non-empty random subset of the pairs of n entities, in pair order."""
     pairs = pairs_over(n_entities)
@@ -112,7 +102,7 @@ def test_two_entities_have_empty_candidates_and_identity_update():
     reps = rng.normal(size=(2, 6))
     updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(rng.normal(size=(6, 6))))
     np.testing.assert_allclose(updated.data, reps, atol=0, rtol=0)
-    np.testing.assert_allclose(np.diag(dense_gamma(groups, gamma)), [1.0, 1.0])
+    np.testing.assert_allclose(np.diag(pair_oracle.dense_gamma(groups, gamma)), [1.0, 1.0])
 
 
 def test_candidate_count_is_2n_minus_4():
@@ -126,7 +116,7 @@ def test_zero_weight_update_averages_pool():
     rng = np.random.default_rng(1)
     reps = rng.normal(size=(6, 6))
     updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(np.zeros((6, 6))))
-    dense = dense_gamma(groups, gamma)
+    dense = pair_oracle.dense_gamma(groups, gamma)
     for i, members in enumerate(pools(groups)):
         np.testing.assert_allclose(updated.data[i], reps[members].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(dense[i, members], np.full(len(members), 1 / len(members)))
@@ -139,7 +129,7 @@ def test_update_matches_reference_attention_oracle():
     reps = rng.normal(size=(len(pairs), 6))
     w = rng.normal(size=(6, 6))
     updated, gamma = reasoning_update(Tensor(reps), groups, Tensor(w))
-    dense = dense_gamma(groups, gamma)
+    dense = pair_oracle.dense_gamma(groups, gamma)
     for i, members in enumerate(per_pair_pools(pairs)):
         scores = np.array([(w @ reps[i]) @ reps[k] for k in members])
         e = np.exp(scores - scores.max())
@@ -222,7 +212,8 @@ def test_update_and_gradients_match_the_dense_oracle(layers):
         out_d, gamma_d, loss_d, grads_d = run(
             pair_oracle.reasoning_update, pair_oracle.chain_candidates(pairs[:, 0], pairs[:, 1]))
         np.testing.assert_allclose(out, out_d, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dense_gamma(groups, gamma), gamma_d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair_oracle.dense_gamma(groups, gamma), gamma_d,
+                                   rtol=0, atol=1e-12)
         assert loss == pytest.approx(loss_d, abs=1e-12)
         for a, b in zip(grads, grads_d):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
