@@ -385,24 +385,9 @@ def narrow(a, start: int, stop: int) -> Tensor:
     return _result(data, bw, a)
 
 
-def take_row(a, index: int) -> Tensor:
-    """Row `index` of a 2-D tensor, as a 1-D tensor (a read-only view)."""
-    a = as_tensor(a)
-    if a.ndim != 2 or not (0 <= index < a.data.shape[0]):
-        raise NotFoundError(f"take_row: index {index} invalid for shape {a.shape}")
-    data = a.data[index]
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[index] += g
-
-    return _result(data, bw, a)
-
-
 def take_rows(a, indices) -> Tensor:
-    """Rows of a 2-D tensor selected by an integer array (embedding lookup)."""
+    """Rows of a 2-D tensor selected by an integer array (embedding lookup); a
+    scalar index gives its row as a 1-D tensor."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
     if a.ndim != 2:

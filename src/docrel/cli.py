@@ -20,7 +20,7 @@ from .evaluation import (compute_f1_suite, enumerate_two_hop, read_predictions,
 from .explain import explain_pair, render_explanation
 from .graph import build_mention_graph
 from .model import RelationModel, prepare_document
-from .training import predict_documents, train_model
+from .training import _titles, predict_documents, train_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,6 +98,16 @@ def _save_model(path, model: RelationModel, threshold: float) -> None:
                     meta={"vocab": model.vocab.to_json(), "threshold": threshold})
 
 
+def _predict(command: str, model: RelationModel, features, threshold: float):
+    """predict_documents, after one stderr line naming the documents that have no
+    entity pair and so give no prediction rows."""
+    pairless = [f.doc.title for f in features if not f.heads.size]
+    if pairless:
+        print(f"{command}: {len(pairless)} of {len(features)} documents have no entity pair "
+              f"and give no predictions{_titles(pairless)}", file=sys.stderr)
+    return predict_documents(model, features, threshold=threshold)
+
+
 def _cmd_train(args) -> int:
     config = _load_config(args)
     train_docs = load_docred(args.data)
@@ -133,7 +143,7 @@ def _cmd_eval(args) -> int:
         docs = load_docred(args.data, vocab=vocab)
         overlap = args.allow_overlap or model.config.allow_overlap
         features = [prepare_document(d, vocab, overlap) for d in docs]
-        preds = predict_documents(model, features, threshold=threshold)
+        preds = _predict("eval", model, features, threshold)
     train_names = train_fact_names(load_docred(args.train, vocab=vocab)) if args.train else set()
     report = compute_f1_suite(preds, docs, train_names=train_names)
     text = report.render()
@@ -152,7 +162,7 @@ def _cmd_predict(args) -> int:
     docs = load_docred(args.data, vocab=vocab)
     overlap = args.allow_overlap or model.config.allow_overlap
     features = [prepare_document(d, vocab, overlap) for d in docs]
-    preds = predict_documents(model, features, threshold=threshold)
+    preds = _predict("predict", model, features, threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.json", preds, vocab)

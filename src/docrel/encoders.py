@@ -1,6 +1,7 @@
 """Token embedding and the sentence/document bidirectional LSTM encoders.
 
-Each LSTM direction over a sequence is one taped primitive, `lstm_sweep`.
+Each LSTM direction is one taped primitive, `lstm_sweep`, over all the
+sequences of a document at once.
 """
 
 from __future__ import annotations
@@ -70,65 +71,98 @@ def embed_tokens(feats: np.ndarray, layers: EmbeddingLayers) -> Tensor:
 
 
 def lstm_sweep(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, hidden: int,
-               reverse: bool = False) -> Tensor:
-    """All (n, H) hidden states of one LSTM direction over the rows of x, as one taped op.
+               reverse: bool = False, lengths=None) -> Tensor:
+    """All (T, H) hidden states of one LSTM direction over the rows of x, as one taped op.
+
+    `lengths` splits the T rows into consecutive sequences (one sequence when
+    None), each run from the zero state; row t of the result holds the state
+    after reading row t of its sequence. A reverse sweep starts every sequence
+    at its own last row.
 
     Gate layout is [input, forget, output, candidate]. The input projection of
-    every step is one GEMM ahead of the time loop, which carries only the
-    recurrent matvec and the gate math. As sigmoid(z) = (1 + tanh(z / 2)) / 2,
-    halving the sigmoid chunk (exact in binary floating point) lets one tanh
-    call cover all four gates. A reverse sweep reads row n-1 first; either way
-    row t holds the state after reading row t. The backward runs BPTT into dZ,
-    then one GEMM per input; the finite-difference suite certifies it.
+    every row is one GEMM ahead of the time loop. The sequences are sorted
+    longest first and the rows packed step by step, so the sequences still
+    running at a step are a prefix of the previous step's and every step is one
+    contiguous (b_t, H) x (H, 4H) GEMM plus the gate math. As
+    sigmoid(z) = (1 + tanh(z / 2)) / 2, halving the sigmoid chunk (exact in
+    binary floating point) lets one tanh call cover all four gates. Buffers take
+    the dtype of x. The backward runs BPTT into dZ, then one GEMM per input; the
+    finite-difference suite certifies it.
     """
     H = hidden
     xd, wx, wh = x.data, w_x.data, w_h.data
-    n = xd.shape[0]
-    scale = np.repeat([0.5, 1.0], [3 * H, H])
-    zx = xd @ wx.T + b.data
-    acts = np.empty((n, 4 * H))   # activated gates
-    hs, cs = np.empty((n, H)), np.empty((n, H))
-    h = c = np.zeros(H)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        a = acts[t]
-        np.tanh((zx[t] + wh @ h) * scale, out=a)
-        a[:3 * H] = a[:3 * H] * 0.5 + 0.5
-        c = a[H:2 * H] * c + a[:H] * a[3 * H:]
-        h = a[2 * H:3 * H] * np.tanh(c)
-        cs[t] = c
-        hs[t] = h
+    n, dtype = xd.shape[0], xd.dtype
+    lengths = np.asarray([n] if lengths is None else lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    # packed row r is sequence seq[r] (by rank) at step step[r]; sorted longest
+    # first, the sequences running at a step are a prefix of the previous step's
+    running = np.arange(lens[0] if lens.size else 0)[:, None] < lens
+    step, seq = np.nonzero(running)
+    if (lens.size and lens[-1] < 0) or step.size != n:
+        raise ContractError(f"lstm_sweep: lengths {lengths.tolist()} do not split {n} rows")
+    tok = (np.cumsum(lengths) - lengths)[order][seq] + (lens[seq] - 1 - step if reverse else step)
+    ends = np.cumsum(running.sum(axis=1)).tolist()
+    blocks = list(zip([0] + ends[:-1], ends))   # packed rows of each step
+
+    xp = xd[tok]
+    zx = xp @ wx.T + b.data
+    scale = np.repeat(np.array([0.5, 1.0], dtype=dtype), [3 * H, H])
+    acts = np.empty((n, 4 * H), dtype)   # activated gates
+    hs, cs = np.empty((n, H), dtype), np.empty((n, H), dtype)
+    h = c = np.zeros((ends[0] if ends else 0, H), dtype)
+    wh_t = wh.T
+    # gate views, sliced once; the backward reads them too
+    sig, i, f, o, g = (acts[:, :3 * H], acts[:, :H], acts[:, H:2 * H], acts[:, 2 * H:3 * H],
+                       acts[:, 3 * H:])
+    for lo, hi in blocks:
+        np.tanh((zx[lo:hi] + h[:hi - lo] @ wh_t) * scale, out=acts[lo:hi])
+        sig_t = sig[lo:hi]   # tanh(z / 2) -> sigmoid(z)
+        sig_t *= 0.5
+        sig_t += 0.5
+        c_prev, c, h = c[:hi - lo], cs[lo:hi], hs[lo:hi]
+        np.multiply(f[lo:hi], c_prev, out=c)
+        c += i[lo:hi] * g[lo:hi]
+        np.tanh(c, out=h)
+        h *= o[lo:hi]
+    out = np.empty_like(hs)
+    out[tok] = hs
 
     def bw(grad):
-        # the states each step read: its neighbour in sweep order, zeros for the first
+        # the states each step read: its sequence's row one step back, zeros at step 0
         h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
-        else:
-            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        i, f, o, g = np.split(acts, 4, axis=1)
+        later = step > 0
+        back = np.array([0] + ends)[step[later] - 1] + seq[later]
+        h_prev[later], c_prev[later] = hs[back], cs[back]
         tc = np.tanh(cs)
-        # dZ[t] = local[t] * [dc; dc; dh; dc] with dc, dh the step's state gradients
+        # dZ[r] = local[r] * [dc; dc; dh; dc] with dc, dh the step's state gradients
         local = np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f),
                                 tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
         dc_dh = o * (1.0 - tc * tc)
-        dz = np.empty((n, 4 * H))
-        dh_next = dc_next = np.zeros(H)
-        for t in reversed(order):
-            dh = grad[t] + dh_next
-            dc = dc_next + dh * dc_dh[t]
-            dz[t] = local[t] * np.concatenate((dc, dc, dh, dc))
-            dh_next = dz[t] @ wh
-            dc_next = dc * f[t]
+        dhs = grad[tok]
+        dz = np.empty((n, 4 * H), dtype)
+        dh_next = dc_next = np.zeros((0, H), dtype)
+        for lo, hi in reversed(blocks):
+            # sequences that end at this step get no carry from the next
+            k = dh_next.shape[0]
+            dh = dhs[lo:hi]
+            dh[:k] += dh_next
+            dc = dh * dc_dh[lo:hi]
+            dc[:k] += dc_next
+            np.multiply(local[lo:hi], np.concatenate((dc, dc, dh, dc), axis=1), out=dz[lo:hi])
+            dh_next = dz[lo:hi] @ wh
+            dc_next = dc * f[lo:hi]
         if w_x.requires_grad:
-            ad._accum(w_x, dz.T @ xd)
+            ad._accum(w_x, dz.T @ xp)
         if w_h.requires_grad:
             ad._accum(w_h, dz.T @ h_prev)
         ad._accum(b, dz.sum(axis=0))
         if x.requires_grad:
-            ad._accum(x, dz @ wx)
+            dx = np.empty_like(xd)
+            dx[tok] = dz @ wx
+            ad._accum(x, dx)
 
-    return ad._result(hs, bw, x, w_x, w_h, b)
+    return ad._result(out, bw, x, w_x, w_h, b)
 
 
 class BiLstm:
@@ -155,25 +189,36 @@ class BiLstm:
     def out_width(self) -> int:
         return 2 * self.hidden
 
-    def run(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-step (n, 2H) states and the (2H,) summary [last forward; last backward].
+    def run(self, x: Tensor, lengths=None) -> tuple[Tensor, Tensor]:
+        """Per-row (T, 2H) states and (S, 2H) summaries of the S sequences that
+        `lengths` splits the rows of x into (one sequence when None).
 
-        Six tape records whatever n is. Over zero steps the states are (0, 2H)
-        and the summary is the zero initial state.
+        A summary row is [last forward state; first backward state]; an empty
+        sequence has no states and the zero initial state as its summary. Six
+        tape records whatever T and S are, two more when a sequence is empty.
         """
-        p, H, n = self.p, self.hidden, x.shape[0]
-        fw = lstm_sweep(x, p["fw.Wx"].tensor, p["fw.Wh"].tensor, p["fw.b"].tensor, H)
+        p, H = self.p, self.hidden
+        lengths = np.asarray([x.shape[0]] if lengths is None else lengths, dtype=np.int64)
+        fw = lstm_sweep(x, p["fw.Wx"].tensor, p["fw.Wh"].tensor, p["fw.b"].tensor, H,
+                        lengths=lengths)
         bw = lstm_sweep(x, p["bw.Wx"].tensor, p["bw.Wh"].tensor, p["bw.b"].tensor, H,
-                        reverse=True)
-        g = ad.concat([fw, bw], axis=-1)
-        if n == 0:
-            return g, ad.constant(np.zeros(2 * H))
-        return g, ad.concat([ad.take_row(fw, n - 1), ad.take_row(bw, 0)], axis=-1)
+                        reverse=True, lengths=lengths)
+        ends = np.cumsum(lengths)
+        kept = np.flatnonzero(lengths)
+        summary = ad.concat([ad.take_rows(fw, ends[kept] - 1),
+                             ad.take_rows(bw, (ends - lengths)[kept])], axis=-1)
+        if kept.size < lengths.size:
+            slot = np.full(lengths.size, kept.size)
+            slot[kept] = np.arange(kept.size)
+            summary = ad.take_rows(
+                ad.concat([summary, ad.constant(np.zeros((1, 2 * H)))], axis=0), slot)
+        return ad.concat([fw, bw], axis=-1), summary
 
 
-def encode_sentence(x: Tensor, lstm: BiLstm) -> tuple[Tensor, Tensor]:
-    """(n, 2H) per-token states and the (2H,) summary of one BiLSTM run over x."""
-    return lstm.run(x)
+def encode_sentence(x: Tensor, lstm: BiLstm, lengths=None) -> tuple[Tensor, Tensor]:
+    """(T, 2H) per-token states and (S, 2H) summaries of one BiLSTM run over the
+    S sentences of `lengths` tokens that the rows of x hold (one when None)."""
+    return lstm.run(x, lengths)
 
 
 # the document encoder is the same function over another BiLstm; its own name

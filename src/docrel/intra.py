@@ -106,11 +106,12 @@ class IntraRoute(NamedTuple):
     topk: np.ndarray           # (I, K) chosen word indices, ascending, padded with -1
 
 
-def intra_pair_rep(inst: IntraInstances, sent_states: list[Tensor], w_intra: Tensor,
-                   k: int, beta: float, average: str = "flat") -> IntraRoute:
+def intra_pair_rep(inst: IntraInstances, sent_states: Tensor, offsets: np.ndarray,
+                   w_intra: Tensor, k: int, beta: float, average: str = "flat") -> IntraRoute:
     """Mean of [head; tail; context] over each pair's co-occurrence instances `inst`.
 
-    `sent_states[i]` holds the (n_i, d) word states of sentence i. `flat`
+    `sent_states` holds the (T, d) word states of the document's sentences
+    one after another; rows offsets[i]:offsets[i + 1] are sentence i's. `flat`
     averages all instances of a pair in one pass; `nested` averages instances
     within each co-occurred sentence first, then averages the sentences.
     """
@@ -124,7 +125,7 @@ def intra_pair_rep(inst: IntraInstances, sent_states: list[Tensor], w_intra: Ten
     topk = np.full((inst.pair.size, min(k, alpha.shape[1])), -1, dtype=np.int64)
     blocks = []
     for s, rows in zip(hosts, np.split(order, starts[1:])):
-        g = sent_states[s]
+        g = ad.narrow(sent_states, offsets[s], offsets[s + 1])
         n = g.shape[0]
         head = ad.matmul(ad.constant(inst.head_means[rows, :n]), g)
         tail = ad.matmul(ad.constant(inst.tail_means[rows, :n]), g)
@@ -135,7 +136,7 @@ def intra_pair_rep(inst: IntraInstances, sent_states: list[Tensor], w_intra: Ten
         topk[rows, :idx.shape[1]] = idx
     # a pair's weight goes evenly to its cells: all its instances (flat), or
     # its instances in one sentence (nested); a cell's instances share it
-    cell = inst.pair * len(sent_states) + (inst.sentence if average == "nested" else 0)
+    cell = inst.pair * len(offsets) + (inst.sentence if average == "nested" else 0)
     _, first, which = np.unique(cell, return_index=True, return_inverse=True)
     weight = 1.0 / (np.bincount(which)[which] * np.bincount(inst.pair[first])[inst.pair])
     # block rows run sentence by sentence; one matrix averages them into pairs

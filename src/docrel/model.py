@@ -28,8 +28,8 @@ class DocFeatures:
     """Everything about one document that does not depend on parameters."""
 
     doc: Document
-    sent_feats: list[np.ndarray]   # per sentence (n_i, 3) id triples
-    doc_feats: np.ndarray          # (m, 3), sentences concatenated
+    doc_feats: np.ndarray          # (T, 3) id triples, sentences concatenated
+    sent_offsets: np.ndarray       # (S + 1,) first token of each sentence, then T
     graph: MentionGraph
     agg: dict[EdgeKind, np.ndarray]
     pairs: list                                 # (P,) head, tail and kind of each pair
@@ -69,7 +69,7 @@ def prepare_document(doc: Document, vocab: Vocabulary,
     gold = np.zeros((len(pairs), vocab.n_relations), dtype=bool)
     gold[pair_rows[facts[:, 0], facts[:, 1]], facts[:, 2]] = True
     return DocFeatures(
-        doc=doc, sent_feats=sent_feats, doc_feats=doc_feats,
+        doc=doc, doc_feats=doc_feats, sent_offsets=np.array(offsets + [len(doc_feats)]),
         graph=graph, agg=aggregation_matrices(graph), pairs=pairs,
         heads=heads, tails=tails, pair_rows=pair_rows, instances=intra_instances(doc, pair_rows),
         mention_means=span_means(spans, len(doc_feats)), entity_means=entity_means, gold=gold)
@@ -225,12 +225,13 @@ class RelationModel:
         return ad.linear(t, self.projection.tensor)
 
     def initial_node_states(self, feats: DocFeatures, g_doc: Tensor,
-                            sent_summaries: list[Tensor], d_doc: Tensor) -> Tensor:
+                            sent_summaries: Tensor, d_doc: Tensor) -> Tensor:
         """Graph node start values: mention nodes from their document-level token
-        means, sentence nodes from the sentence summaries, the document node from
-        the document summary. Inputs are already projected to the model width."""
+        means, sentence nodes from the (S, d) sentence summaries, the document node
+        from the (1, d) document summary. Inputs are already projected to the model
+        width."""
         mentions = ad.matmul(ad.constant(feats.mention_means), g_doc)
-        return ad.concat([mentions, ad.stack(sent_summaries + [d_doc])], axis=0)
+        return ad.concat([mentions, sent_summaries, d_doc], axis=0)
 
     def forward(self, feats: DocFeatures, rows: np.ndarray | None = None,
                 dropout: DropoutState = _NO_DROPOUT) -> DocForward:
@@ -243,22 +244,21 @@ class RelationModel:
         if rows.min() < 0 or rows.max() >= n_pairs:
             raise ContractError(f"document {feats.doc.title!r}: pair rows outside [0, {n_pairs})")
 
-        sent_states, sent_summaries = [], []
-        for sid, sf in enumerate(feats.sent_feats):
-            g, summary = encode_sentence(embed_tokens(sf, self.embeddings), self.sent_encoder)
-            sent_states.append(dropout.apply(self._project(g), ("sent", sid)))
-            sent_summaries.append(self._project(summary))
+        # one embedding feeds both encoders; one sweep per direction reads every sentence
+        x = embed_tokens(feats.doc_feats, self.embeddings)
+        g, summaries = encode_sentence(x, self.sent_encoder, np.diff(feats.sent_offsets))
+        sent_states = dropout.apply(self._project(g), ("sent",))
+        sent_summaries = self._project(summaries)
 
         routed_intra = np.isin(rows, feats.instances.pair) & (not cfg.inter4intra)
         intra_pos, inter_pos = np.flatnonzero(routed_intra), np.flatnonzero(~routed_intra)
         intra = inter = None
         if intra_pos.size:
             intra = intra_mod.intra_pair_rep(
-                feats.instances.select(rows[intra_pos]), sent_states, self.w_intra.tensor,
-                cfg.topk, cfg.beta, average=cfg.intra_average)
+                feats.instances.select(rows[intra_pos]), sent_states, feats.sent_offsets,
+                self.w_intra.tensor, cfg.topk, cfg.beta, average=cfg.intra_average)
         if inter_pos.size:
-            g_doc, d_doc = encode_document(embed_tokens(feats.doc_feats, self.embeddings),
-                                           self.doc_encoder)
+            g_doc, d_doc = encode_document(x, self.doc_encoder)
             g_doc = dropout.apply(self._project(g_doc), ("doc",))
             h0 = self.initial_node_states(feats, g_doc, sent_summaries, self._project(d_doc))
             states = propagate(h0, feats.agg, self.rgcn)

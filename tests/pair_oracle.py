@@ -68,7 +68,7 @@ class OracleForward:
 def mention_span_rep(g: Tensor, span: tuple[int, int]) -> Tensor:
     s, t = span
     if t - s == 1:
-        return ad.take_row(g, s)
+        return ad.take_rows(g, s)
     return ad.mean(ad.narrow(g, s, t), axis=0)
 
 
@@ -134,7 +134,7 @@ def intra_pair_rep(pair: EntityPair, doc: Document, sent_states: list[Tensor],
 
 def entity_rep(mention_node_ids: list[int], m: Tensor) -> Tensor:
     if len(mention_node_ids) == 1:
-        return ad.take_row(m, mention_node_ids[0])
+        return ad.take_rows(m, mention_node_ids[0])
     return ad.mean(ad.take_rows(m, np.asarray(mention_node_ids)), axis=0)
 
 
@@ -214,11 +214,16 @@ def forward(model: RelationModel, feats: DocFeatures, rows=None,
     doc = feats.doc
     pairs = list(feats.pairs) if rows is None else [feats.pairs[i] for i in rows]
 
-    sent_states, sent_summaries = [], []
-    for sid, sf in enumerate(feats.sent_feats):
-        g, summary = encode_sentence(embed_tokens(sf, model.embeddings), model.sent_encoder)
-        sent_states.append(dropout.apply(model._project(g), ("sent", sid)))
+    # sentence by sentence; the states take one dropout mask over the whole document
+    spans = list(zip(feats.sent_offsets, feats.sent_offsets[1:]))
+    states, sent_summaries = [], []
+    for lo, hi in spans:
+        g, summary = encode_sentence(embed_tokens(feats.doc_feats[lo:hi], model.embeddings),
+                                     model.sent_encoder)
+        states.append(model._project(g))
         sent_summaries.append(model._project(summary))
+    states = dropout.apply(ad.concat(states, axis=0), ("sent",))
+    sent_states = [ad.take_rows(states, np.arange(lo, hi)) for lo, hi in spans]
 
     node_m = None
     if any(p.kind is PairKind.INTER or cfg.inter4intra for p in pairs):
@@ -226,7 +231,7 @@ def forward(model: RelationModel, feats: DocFeatures, rows=None,
                                        model.doc_encoder)
         g_doc = dropout.apply(model._project(g_doc), ("doc",))
         rows = [mention_span_rep(g_doc, span) for span in mention_doc_spans(feats)]
-        h0 = ad.stack(rows + sent_summaries + [model._project(d_doc)])
+        h0 = ad.concat([ad.stack(rows), *sent_summaries, model._project(d_doc)], axis=0)
         node_m = node_final_rep(propagate(h0, feats.agg, model.rgcn), model.rgcn.w_u)
 
     m_sentences = None

@@ -202,7 +202,7 @@ def test_broadcast_add_gradient_reduces():
                                            ad.constant(np.ones(2)))), (4, 3)),
     ("transpose", lambda x: ad.tsum(ad.mul(ad.transpose(x), 2.0)), (2, 3)),
     ("concat", lambda x: ad.tsum(ad.concat([x, ad.mul(x, 2.0)], axis=-1)), (3,)),
-    ("stack", lambda x: ad.tsum(ad.stack([ad.take_row(x, 0), ad.take_row(x, 1)])), (2, 3)),
+    ("stack", lambda x: ad.tsum(ad.stack([ad.take_rows(x, 0), ad.take_rows(x, 1)])), (2, 3)),
     ("narrow", lambda x: ad.tsum(ad.narrow(x, 1, 3)), (4,)),
     ("take_rows", lambda x: ad.tsum(ad.take_rows(x, np.array([0, 2, 2]))), (3, 2)),
     ("mean0", lambda x: ad.tsum(ad.mean(x, axis=0)), (3, 2)),

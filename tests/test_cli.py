@@ -328,6 +328,22 @@ def test_predict_survives_a_degenerate_document(workspace, trained, degenerate):
     assert [r for r in rows["mixed"] if r["title"] == good["title"]] == rows["alone"]
 
 
+def test_predict_and_eval_name_the_documents_without_an_entity_pair(workspace, trained, capsys):
+    good = json.loads((workspace / "dev.json").read_text(encoding="utf-8"))[0]
+    for docs, line in (([one_entity(good, "lone"), good],
+                        "1 of 2 documents have no entity pair and give no predictions ('lone')"),
+                       ([good], None)):
+        data = workspace / f"pairless-{len(docs)}.json"
+        data.write_text(json.dumps(docs), encoding="utf-8")
+        ckpt = ["--checkpoint", str(trained / "model.ckpt")]
+        out = ["--out", str(workspace / f"pred-pairless-{len(docs)}")]
+        for command, extra in (("predict", out), ("eval", [])):
+            capsys.readouterr()
+            assert main([command, "--data", str(data), *ckpt, *extra]) == EXIT_OK
+            named = [e for e in capsys.readouterr().err.splitlines() if "no entity pair" in e]
+            assert named == ([] if line is None else [f"{command}: {line}"])
+
+
 def test_train_survives_an_empty_sentence(workspace):
     docs = json.loads((workspace / "train.json").read_text(encoding="utf-8"))
     docs[0] = with_empty_sentence(docs[0], docs[0]["title"])

@@ -147,9 +147,15 @@ def table_of(doc, pairs):
     return intra_instances(doc, rows)
 
 
+def stacked(encs):
+    """Per-sentence state tensors as the document's (T, d) states and sentence offsets."""
+    offsets = np.cumsum([0] + [e.shape[0] for e in encs])
+    return Tensor(np.concatenate([e.data for e in encs])), offsets
+
+
 def pair_route(doc, pair, encs, w, **kw):
     """The intra route over the co-occurrence instances of one (head, tail) pair."""
-    return intra_pair_rep(table_of(doc, [pair]), encs, w, **kw)
+    return intra_pair_rep(table_of(doc, [pair]), *stacked(encs), w, **kw)
 
 
 def test_intra_single_instance_is_plain_concat():
@@ -295,7 +301,8 @@ def test_intra_requires_co_occurrence():
     # an intra pair selected next to one without instances
     table = table_of(intra_doc(), [(0, 1), (1, 0)])
     with pytest.raises(ContractError):
-        intra_pair_rep(table.select([0, 2]), encode_all(intra_doc(), rng), w, k=2, beta=0.9)
+        intra_pair_rep(table.select([0, 2]), *stacked(encode_all(intra_doc(), rng)), w,
+                       k=2, beta=0.9)
 
 
 def test_instance_table_order_and_selection():

@@ -248,10 +248,9 @@ def test_node_initialization_contract(small_world):
     m_tokens = docs[0].n_tokens
     width = model.config.model_width
     g_doc = rng.normal(size=(m_tokens, width))
-    summaries = [rng.normal(size=width) for _ in docs[0].sentences]
-    d_doc = rng.normal(size=width)
-    h0 = model.initial_node_states(feats, Tensor(g_doc),
-                                   [Tensor(s) for s in summaries], Tensor(d_doc)).data
+    summaries = rng.normal(size=(len(docs[0].sentences), width))
+    d_doc = rng.normal(size=(1, width))
+    h0 = model.initial_node_states(feats, Tensor(g_doc), Tensor(summaries), Tensor(d_doc)).data
     n_mentions = len(feats.graph.mention_nodes)
     offsets = docs[0].sentence_offsets()
     for node in feats.graph.nodes[:n_mentions]:
@@ -261,7 +260,7 @@ def test_node_initialization_contract(small_world):
         np.testing.assert_allclose(h0[node.id], g_doc[s:t].mean(axis=0), atol=1e-12)
     for sid, node_id in enumerate(feats.graph.sentence_nodes):
         np.testing.assert_array_equal(h0[node_id], summaries[sid])
-    np.testing.assert_array_equal(h0[feats.graph.document_node], d_doc)
+    np.testing.assert_array_equal(h0[feats.graph.document_node], d_doc[0])
     assert h0.shape == (n_mentions + len(docs[0].sentences) + 1, width)
 
 
