@@ -162,10 +162,22 @@ def _result(data, backward_fn, *parents: Tensor) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t.grad; the first contribution is stored as a copy in t's dtype and shape."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+        else:
+            t.grad += g
+
+
+def _adopt(t: Tensor, g: np.ndarray) -> None:
+    """`_accum` for a freshly computed g that nothing else holds: a first
+    contribution of t's dtype and shape becomes t.grad without a copy."""
+    if t.requires_grad and t.grad is None and g.shape == t.data.shape and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        _accum(t, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -257,22 +269,20 @@ def matmul(a, b) -> Tensor:
     def bw(g):
         if a.requires_grad:
             if ad.ndim == 2 and bd.ndim == 2:
-                _accum(a, g @ bd.T)
+                _adopt(a, g @ bd.T)
             elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(a, np.outer(g, bd))
+                _adopt(a, np.outer(g, bd))
             elif ad.ndim == 1 and bd.ndim == 2:
-                _accum(a, bd @ g)
+                _adopt(a, bd @ g)
             else:
-                _accum(a, g * bd)
+                _adopt(a, g * bd)
         if b.requires_grad:
-            if ad.ndim == 2 and bd.ndim == 2:
-                _accum(b, ad.T @ g)
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(b, ad.T @ g)
-            elif ad.ndim == 1 and bd.ndim == 2:
-                _accum(b, np.outer(ad, g))
+            if ad.ndim == 2:
+                _adopt(b, ad.T @ g)
+            elif bd.ndim == 2:
+                _adopt(b, np.outer(ad, g))
             else:
-                _accum(b, g * ad)
+                _adopt(b, g * ad)
 
     return _result(data, bw, a, b)
 
@@ -288,20 +298,84 @@ def linear(x, weight, bias=None) -> Tensor:
         bias = as_tensor(bias)
         if bias.data.shape != (wd.shape[0],):
             raise ShapeError(f"linear: bias {bias.data.shape} vs weight {wd.shape}")
-        data = data + bias.data
+        data += bias.data
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, g @ wd)
+            _adopt(x, g @ wd)
         if weight.requires_grad:
-            if xd.ndim == 1:
-                _accum(weight, np.outer(g, xd))
-            else:
-                _accum(weight, g.T @ xd)
+            _adopt(weight, np.outer(g, xd) if xd.ndim == 1 else g.T @ xd)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g if xd.ndim == 1 else g.sum(axis=0))
+            if xd.ndim == 1:
+                _accum(bias, g)
+            else:
+                _adopt(bias, g.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    return _result(data, bw, *parents)
+
+
+def pair_linear(entities, heads, tails, context, weight) -> Tensor:
+    """linear(concat([entities[heads], entities[tails], context]), weight) as one taped op.
+
+    With W_a, W_b and W_c the column blocks of weight that meet the head, tail
+    and context thirds, a row is (E W_a^T)[h] + (E W_b^T)[t] + c W_c^T, so the
+    head and tail products are formed once per entity, not once per row. A
+    None context drops its term; weight then needs only its first 2d columns,
+    and any further columns get zero gradient. The backward sums the output
+    gradient per head and per tail entity first; the finite-difference suite
+    certifies it.
+    """
+    entities, weight = as_tensor(entities), as_tensor(weight)
+    context = None if context is None else as_tensor(context)
+    ed, wd = entities.data, weight.data
+    heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
+    if ed.ndim != 2 or wd.ndim != 2 or heads.ndim != 1 or tails.shape != heads.shape:
+        raise ShapeError(f"pair_linear: entities {ed.shape}, weight {wd.shape}, "
+                         f"heads {heads.shape}, tails {tails.shape}")
+    n_ent, d = ed.shape
+    if context is None:
+        fits = wd.shape[1] >= 2 * d
+    else:
+        fits = (context.ndim == 2 and context.shape[0] == heads.size
+                and wd.shape[1] == 2 * d + context.shape[1])
+    if not fits:
+        raise ShapeError(f"pair_linear: entities {ed.shape}, context "
+                         f"{None if context is None else context.shape}, weight {wd.shape}")
+    ids = np.concatenate([heads, tails])
+    if ids.size and (ids.min() < 0 or ids.max() >= n_ent):
+        raise NotFoundError(f"pair_linear: entity id outside [0, {n_ent})")
+    w_a, w_b, w_c = wd[:, :d], wd[:, d:2 * d], wd[:, 2 * d:]
+    if context is None:
+        data = (ed @ w_a.T)[heads]
+    else:
+        data = context.data @ w_c.T
+        data += (ed @ w_a.T)[heads]
+    data += (ed @ w_b.T)[tails]
+
+    def bw(g):
+        # (2, E, out): the rows of g summed per head entity and per tail entity
+        rows = np.arange(heads.size)
+        picks = np.zeros((2, n_ent, heads.size), g.dtype)
+        picks[0, heads, rows] = picks[1, tails, rows] = 1.0
+        s_h, s_t = picks @ g
+        if entities.requires_grad:
+            d_e = s_h @ w_a
+            d_e += s_t @ w_b
+            _adopt(entities, d_e)
+        if weight.requires_grad:
+            d_w = np.empty_like(wd)
+            np.matmul(s_h.T, ed, out=d_w[:, :d])
+            np.matmul(s_t.T, ed, out=d_w[:, d:2 * d])
+            if context is None:
+                d_w[:, 2 * d:] = 0.0
+            else:
+                np.matmul(g.T, context.data, out=d_w[:, 2 * d:])
+            _adopt(weight, d_w)
+        if context is not None and context.requires_grad:
+            _adopt(context, g @ w_c)
+
+    parents = (entities, weight) if context is None else (entities, weight, context)
     return _result(data, bw, *parents)
 
 
@@ -405,6 +479,36 @@ def take_rows(a, indices) -> Tensor:
             np.add.at(a.grad, idx, g)
 
     return _result(data, bw, a)
+
+
+def place_rows(parts: Sequence, rows: Sequence) -> Tensor:
+    """The (n, ...) tensor whose rows rows[k] hold parts[k], the inverse of taking
+    those rows; the rows must split [0, n). A single part already in order is
+    returned as it is."""
+    parts = [as_tensor(p) for p in parts]
+    rows = [np.asarray(r, dtype=np.int64) for r in rows]
+    n = sum(r.size for r in rows)
+    if not parts or len(parts) != len(rows) or any(
+            p.shape[:1] != r.shape for p, r in zip(parts, rows)):
+        raise ShapeError(f"place_rows: parts {[p.shape for p in parts]}, "
+                         f"rows {[r.shape for r in rows]}")
+    covered = np.zeros(n, dtype=bool)
+    for r in rows:
+        covered[r] = True
+    if not covered.all():  # n rows that cover [0, n) cover it once each
+        raise ContractError(f"place_rows: rows do not split [0, {n})")
+    if len(parts) == 1 and np.array_equal(rows[0], np.arange(n)):
+        return parts[0]
+    data = np.empty((n,) + parts[0].shape[1:], np.result_type(*(p.data for p in parts)))
+    for p, r in zip(parts, rows):
+        data[r] = p.data
+
+    def bw(g):
+        for p, r in zip(parts, rows):
+            if p.requires_grad:
+                _adopt(p, g[r])
+
+    return _result(data, bw, *parts)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,14 @@ def lstm_sweep(x: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor, hidden: int,
             dh_next = dz[lo:hi] @ wh
             dc_next = dc * f[lo:hi]
         if w_x.requires_grad:
-            ad._accum(w_x, dz.T @ xp)
+            ad._adopt(w_x, dz.T @ xp)
         if w_h.requires_grad:
-            ad._accum(w_h, dz.T @ h_prev)
-        ad._accum(b, dz.sum(axis=0))
+            ad._adopt(w_h, dz.T @ h_prev)
+        ad._adopt(b, dz.sum(axis=0))
         if x.requires_grad:
             dx = np.empty_like(xd)
             dx[tok] = dz @ wx
-            ad._accum(x, dx)
+            ad._adopt(x, dx)
 
     return ad._result(out, bw, x, w_x, w_h, b)
 

@@ -91,36 +91,38 @@ def node_final_rep(states: list[Tensor], w_u: Parameter) -> Tensor:
     return ad.relu(ad.linear(cat, w_u.tensor))
 
 
-def evidence_weights(head: Tensor, tail: Tensor, m_sentences: Tensor,
-                     w_k: Tensor) -> tuple[Tensor, Tensor]:
+def evidence_weights(entities: Tensor, heads: np.ndarray, tails: np.ndarray,
+                     m_sentences: Tensor, w_k: Tensor) -> tuple[Tensor, Tensor]:
     """Logistic evidence score per sentence, then sum-normalization.
 
-    w_k has shape (1, 3 * d_g) and scores [head; tail; m_sentence_k]; the
-    normalizer carries a 1e-12 floor so all-zero scores cannot divide by zero.
-    head and tail are (d_g,) for one pair or (P, d_g) for P pairs; scores and
-    weights are then (S,) or (P, S).
+    w_k has shape (1, 3 * d_g) and scores [head; tail; m_sentence_k] for the P
+    pairs (entities[heads[i]], entities[tails[i]]); its [head; tail] term is
+    formed per entity (`pair_linear`). The normalizer carries a 1e-12 floor so
+    all-zero scores cannot divide by zero. Scores and weights are (P, S).
     """
     d = m_sentences.shape[1]
     if w_k.shape != (1, 3 * d):
         raise ShapeError(f"evidence_weights: weight {w_k.shape}, expected {(1, 3 * d)}")
-    w = ad.reshape(w_k, (3 * d,))
-    base = ad.matmul(ad.concat([head, tail], axis=-1), ad.narrow(w, 0, 2 * d))
-    column = base.shape + (1,)
-    logits = ad.reshape(base, column) + ad.matmul(m_sentences, ad.narrow(w, 2 * d, 3 * d))
-    scores = ad.sigmoid(logits)
-    alpha = ad.div(scores, ad.reshape(ad.tsum(scores, axis=-1), column) + EVIDENCE_EPS)
+    base = ad.pair_linear(entities, heads, tails, None, w_k)
+    sentence = ad.matmul(m_sentences, ad.narrow(ad.reshape(w_k, (3 * d,)), 2 * d, 3 * d))
+    scores = ad.sigmoid(base + sentence)
+    alpha = ad.div(scores, ad.reshape(ad.tsum(scores, axis=-1), base.shape) + EVIDENCE_EPS)
     return scores, alpha
 
 
 class InterRoute(NamedTuple):
-    vectors: Tensor     # (P, 3d) or (3d,) pair representations
-    scores: np.ndarray  # (P, S) or (S,) logistic evidence score per sentence
+    vectors: Tensor     # (P, 3d) pair representations [head; tail; context]
+    context: Tensor     # (P, d) evidence-weighted sentence average, the last third
+    scores: np.ndarray  # (P, S) logistic evidence score per sentence
     alpha: np.ndarray   # scores normalized by their row sum
 
 
-def inter_pair_rep(head: Tensor, tail: Tensor, m_sentences: Tensor, w_k: Tensor) -> InterRoute:
-    """[head; tail; evidence-weighted sentence average] with the distribution kept."""
-    scores, alpha = evidence_weights(head, tail, m_sentences, w_k)
+def inter_pair_rep(entities: Tensor, heads: np.ndarray, tails: np.ndarray,
+                   m_sentences: Tensor, w_k: Tensor) -> InterRoute:
+    """[head; tail; evidence-weighted sentence average] of the pairs
+    (entities[heads[i]], entities[tails[i]]), with the distribution kept."""
+    scores, alpha = evidence_weights(entities, heads, tails, m_sentences, w_k)
     context = ad.matmul(alpha, m_sentences)
-    vectors = ad.concat([head, tail, context], axis=-1)
-    return InterRoute(vectors, scores.data, alpha.data)
+    vectors = ad.concat([ad.take_rows(entities, heads), ad.take_rows(entities, tails), context],
+                        axis=-1)
+    return InterRoute(vectors, context, scores.data, alpha.data)

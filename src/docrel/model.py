@@ -18,7 +18,7 @@ from .graph import EdgeKind, MentionGraph, build_mention_graph
 from .inter import InterRoute, RgcnParams, aggregation_matrices, node_final_rep, propagate
 from .intra import IntraInstances, IntraRoute, intra_instances, span_means
 from .optim import Parameter
-from .reasoning import ChainGroups, chain_candidates, reasoning_update
+from .reasoning import ChainGroups, EntityRows, chain_candidates, reasoning_update
 
 BCE_EPS = 1e-12
 
@@ -252,7 +252,7 @@ class RelationModel:
 
         routed_intra = np.isin(rows, feats.instances.pair) & (not cfg.inter4intra)
         intra_pos, inter_pos = np.flatnonzero(routed_intra), np.flatnonzero(~routed_intra)
-        intra = inter = None
+        intra = inter = entity_rows = None
         if intra_pos.size:
             intra = intra_mod.intra_pair_rep(
                 feats.instances.select(rows[intra_pos]), sent_states, feats.sent_offsets,
@@ -266,12 +266,16 @@ class RelationModel:
             entities = ad.matmul(ad.constant(feats.entity_means), node_m)
             sel = rows[inter_pos]
             inter = inter_mod.inter_pair_rep(
-                ad.take_rows(entities, feats.heads[sel]), ad.take_rows(entities, feats.tails[sel]),
+                entities, feats.heads[sel], feats.tails[sel],
                 ad.take_rows(node_m, feats.graph.sentence_nodes), self.w_evidence.tensor)
+            # the first reasoning layer forms these rows' queries per entity
+            entity_rows = EntityRows(inter_pos, entities, feats.heads[sel], feats.tails[sel],
+                                     None if cfg.no_context else inter.context)
 
         block_row = np.argsort(np.concatenate([intra_pos, inter_pos]))
-        blocks = [route.vectors for route in (intra, inter) if route is not None]
-        reps_pre = ad.take_rows(ad.concat(blocks, axis=0), block_row)
+        routed = [(route.vectors, pos) for route, pos in ((intra, intra_pos), (inter, inter_pos))
+                  if route is not None]
+        reps_pre = ad.place_rows([v for v, _ in routed], [pos for _, pos in routed])
         if cfg.no_context:
             dm = cfg.model_width
             reps_pre = reps_pre * ad.constant(np.repeat([1.0, 0.0], [2 * dm, dm]))
@@ -281,7 +285,8 @@ class RelationModel:
             groups = chain_candidates(feats.heads[rows], feats.tails[rows])
             for _ in range(cfg.reasoning_layers):
                 pool_input = pool
-                pool, gamma = reasoning_update(pool, groups, self.w_att.tensor)
+                pool, gamma = reasoning_update(pool, groups, self.w_att.tensor, entity_rows)
+                entity_rows = None  # later layers read mixtures of rows
         probs = relation_probabilities(pool, self.classifier, dropout, ("cls",))
         return DocForward(rows=rows, reps_pre=reps_pre, intra=intra, inter=inter,
                           block_row=block_row, pool_input=pool_input, reps_post=pool,

@@ -13,6 +13,7 @@ scored against its two groups, never against a dense (P, P) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def chain_attention(queries: Tensor, reps: Tensor,
     diag = np.arange(L)
     buf = _Buffers(groups, width, 2, r.dtype)
 
-    logits = np.empty((n, 2 * L))
+    logits = np.empty((n, 2 * L), r.dtype)
     for cells, rows, valid, idx in _chunks(groups, width):
         s = buf.take(0, q, idx) @ buf.take(1, r, idx).transpose(0, 2, 1)
         if valid is not None:
@@ -160,8 +161,8 @@ def chain_attention(queries: Tensor, reps: Tensor,
     def bw(grad):
         buf = _Buffers(groups, width, 3, r.dtype)
         # d_gamma[i, c] = grad[i] . r[cell c]; reps also get gamma^T grad per group
-        d_gamma = np.empty((n, 2 * L))
-        d_r = np.zeros((n, width)) if reps.requires_grad else None
+        d_gamma = np.empty((n, 2 * L), r.dtype)
+        d_r = np.zeros((n, width), r.dtype) if reps.requires_grad else None
         for cells, rows, valid, idx in _chunks(groups, width):
             g_blk, r_blk = buf.take(0, grad, idx), buf.take(1, r, idx)
             d_gamma[rows, cells] = _valid_rows(g_blk @ r_blk.transpose(0, 2, 1), valid)
@@ -172,7 +173,7 @@ def chain_attention(queries: Tensor, reps: Tensor,
                 d_r[rows] += _valid_rows(buf.matmul(2, w.transpose(0, 2, 1), g_blk), valid)
         # softmax backward; masked cells carry zero weight, so they get zero
         d_s = gamma * (d_gamma - (d_gamma * gamma).sum(axis=1, keepdims=True))
-        d_q = np.empty((n, width)) if queries.requires_grad else None
+        d_q = np.empty((n, width), r.dtype) if queries.requires_grad else None
         for cells, rows, valid, idx in _chunks(groups, width):
             s_blk = d_s[idx, cells]
             if valid is not None:
@@ -187,22 +188,47 @@ def chain_attention(queries: Tensor, reps: Tensor,
                 d_r[rows] += _valid_rows(
                     buf.matmul(2, s_blk.transpose(0, 2, 1), buf.take(0, q, idx)), valid)
         if d_q is not None:
-            ad._accum(queries, d_q)
+            ad._adopt(queries, d_q)
         if d_r is not None:
-            ad._accum(reps, d_r)
+            ad._adopt(reps, d_r)
 
     return ad._result(out, bw, queries, reps), gamma
 
 
-def reasoning_update(reps: Tensor, groups: ChainGroups,
-                     w_att: Tensor) -> tuple[Tensor, np.ndarray]:
+class EntityRows(NamedTuple):
+    """Rows of a pool that read [entities[heads]; entities[tails]; context]."""
+
+    rows: np.ndarray        # (Q,) rows of the pool
+    entities: Tensor        # (E, d)
+    heads: np.ndarray       # (Q,) entity id of each row's head third
+    tails: np.ndarray       # (Q,) entity id of each row's tail third
+    context: Tensor | None  # (Q, d) last third; None where it is zero
+
+
+def reasoning_update(reps: Tensor, groups: ChainGroups, w_att: Tensor,
+                     entity_rows: EntityRows | None = None) -> tuple[Tensor, np.ndarray]:
     """One synchronous self-attention pass over the chain pools.
 
     gamma_i = softmax over the pool of pair i of (W r_i) . r_k, and the new
     representation is the gamma-weighted sum of the old ones. Returns the new
-    (P, 3d) matrix and the (P, 2L) gamma of `chain_attention`.
+    (P, 3d) matrix and the (P, 2L) gamma of `chain_attention`. The queries of
+    the `entity_rows` of reps are formed per entity (`pair_linear`); the other
+    rows, and every row when it is None, go through `linear`.
     """
     width = reps.shape[1]
     if w_att.shape != (width, width):
         raise ShapeError(f"reasoning_update: weight {w_att.shape}, expected {(width, width)}")
-    return chain_attention(ad.linear(reps, w_att), reps, groups)
+    if entity_rows is None:
+        queries = ad.linear(reps, w_att)
+    else:
+        f = entity_rows
+        parts = [ad.pair_linear(f.entities, f.heads, f.tails, f.context, w_att)]
+        rows = [f.rows]
+        rest = np.ones(reps.shape[0], dtype=bool)
+        rest[f.rows] = False
+        rest = np.flatnonzero(rest)
+        if rest.size:
+            parts.append(ad.linear(ad.take_rows(reps, rest), w_att))
+            rows.append(rest)
+        queries = ad.place_rows(parts, rows)
+    return chain_attention(queries, reps, groups)

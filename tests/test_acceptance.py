@@ -225,11 +225,10 @@ def test_criterion_5_normalization_convexity():
         # up to exactly that deficiency times the coordinate magnitude
         n_sents = int(rng.integers(1, 7))
         m = rng.normal(size=(n_sents, d))
-        scores, ev_alpha = evidence_weights(Tensor(rng.normal(size=d)),
-                                            Tensor(rng.normal(size=d)),
+        scores, ev_alpha = evidence_weights(Tensor(rng.normal(size=(2, d))), [0], [1],
                                             Tensor(m), Tensor(rng.normal(size=(1, 3 * d))))
         worst_sum = max(worst_sum, abs(float(ev_alpha.data.sum()) - 1.0))
-        context = ev_alpha.data @ m
+        context = ev_alpha.data[0] @ m
         slack = (1.0 - float(ev_alpha.data.sum())) * float(np.abs(m).max()) + 1e-9
         if np.any(context < m.min(axis=0) - slack) or np.any(context > m.max(axis=0) + slack):
             hull_violations += 1

@@ -162,6 +162,41 @@ def test_gradients_accumulate_across_uses():
     assert x.grad == pytest.approx(7.0)
 
 
+def test_first_gradient_is_a_copy_unless_handed_over():
+    x = leaf(np.zeros(3))
+    g = np.array([1.0, -0.0, 2.0])
+    ad._accum(x, g)
+    assert x.grad is not g and x.grad.dtype == x.data.dtype
+    g[0] = 5.0
+    np.testing.assert_array_equal(x.grad, [1.0, 0.0, 2.0])
+    ad._accum(x, g)
+    np.testing.assert_array_equal(x.grad, [6.0, 0.0, 4.0])
+
+    fresh = np.array([1.0, 2.0, 3.0])
+    y = leaf(np.zeros(3))
+    ad._adopt(y, fresh)
+    assert y.grad is fresh
+    ad._adopt(y, np.ones(3))
+    np.testing.assert_array_equal(y.grad, [2.0, 3.0, 4.0])
+    # another dtype or a broadcast shape is copied into the tensor's own
+    z = leaf(np.zeros((2, 3)))
+    ad._adopt(z, np.ones(3, np.float32))
+    assert z.grad.shape == (2, 3) and z.grad.dtype == np.float64
+
+
+def test_place_rows_inverts_take_rows():
+    x = np.arange(12.0).reshape(6, 2)
+    rows = [np.array([4, 0, 5]), np.array([2, 1, 3])]
+    placed = ad.place_rows([Tensor(x[r]) for r in rows], rows)
+    np.testing.assert_array_equal(placed.data, x)
+    whole = Tensor(x)
+    assert ad.place_rows([whole], [np.arange(6)]) is whole
+    with pytest.raises(ContractError):
+        ad.place_rows([Tensor(x[:3]), Tensor(x[:3])], [[0, 1, 2], [2, 3, 4]])
+    with pytest.raises(ShapeError):
+        ad.place_rows([Tensor(x[:3])], [[0, 1]])
+
+
 def test_no_tape_means_no_recording():
     x = leaf([1.0])
     y = ad.mul(x, x)
@@ -205,6 +240,10 @@ def test_broadcast_add_gradient_reduces():
     ("stack", lambda x: ad.tsum(ad.stack([ad.take_rows(x, 0), ad.take_rows(x, 1)])), (2, 3)),
     ("narrow", lambda x: ad.tsum(ad.narrow(x, 1, 3)), (4,)),
     ("take_rows", lambda x: ad.tsum(ad.take_rows(x, np.array([0, 2, 2]))), (3, 2)),
+    ("place_rows", lambda x: ad.tsum(ad.mul(
+        ad.place_rows([ad.take_rows(x, [0, 2]),
+                       ad.mul(ad.take_rows(x, [1]), ad.take_rows(x, [0]))], [[2, 0], [1]]),
+        ad.constant(np.arange(6.0).reshape(3, 2)))), (3, 2)),
     ("mean0", lambda x: ad.tsum(ad.mean(x, axis=0)), (3, 2)),
     ("mean_all", lambda x: ad.mean(x), (3, 2)),
     ("reshape", lambda x: ad.tsum(ad.mul(ad.reshape(x, (6,)), 1.5)), (2, 3)),

@@ -288,10 +288,11 @@ def test_document_with_one_nonempty_sentence_encodes(inter4intra):
 def test_float32_sweep_keeps_float32_states_and_gradients(monkeypatch):
     # every array an op hands to the tape, before Tensor casts it to the default dtype
     made = []
-    result, accum = ad._result, ad._accum
+    result, accum, adopt = ad._result, ad._accum, ad._adopt
     monkeypatch.setattr(ad, "_result", lambda data, *rest: made.append(data.dtype) or
                         result(data, *rest))
     monkeypatch.setattr(ad, "_accum", lambda t, g: made.append(g.dtype) or accum(t, g))
+    monkeypatch.setattr(ad, "_adopt", lambda t, g: made.append(g.dtype) or adopt(t, g))
     ad.set_default_dtype(np.float32)
     try:
         rng = np.random.default_rng(11)

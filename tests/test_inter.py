@@ -8,7 +8,7 @@ import pytest
 from docrel import autodiff as ad
 from docrel.autodiff import Tensor
 from docrel.corpus import Document, Entity, Mention, build_vocabulary
-from docrel.errors import ShapeError
+from docrel.errors import NotFoundError, ShapeError
 from docrel.graph import EdgeKind, build_mention_graph
 from docrel.inter import (RgcnParams, aggregation_matrices, evidence_weights, inter_pair_rep,
                           node_final_rep, propagate, rgcn_layer)
@@ -154,20 +154,25 @@ def test_entity_means_match_loop_sum_oracle():
             np.testing.assert_allclose((feats.entity_means @ m)[e.id], acc / len(ids), atol=1e-12)
 
 
+def one_pair(head, tail):
+    """Entity matrix and id arrays of the single pair (head, tail)."""
+    return Tensor(np.stack([head, tail])), np.array([0]), np.array([1])
+
+
 def test_evidence_zero_weights_uniform():
     m = Tensor(np.ones((3, 2)))
     w = Tensor(np.zeros((1, 6)))
-    scores, alpha = evidence_weights(Tensor(np.ones(2)), Tensor(np.ones(2)), m, w)
-    np.testing.assert_allclose(scores.data, [0.5, 0.5, 0.5])
-    np.testing.assert_allclose(alpha.data, np.full(3, 1 / 3), atol=1e-9)
+    scores, alpha = evidence_weights(*one_pair(np.ones(2), np.ones(2)), m, w)
+    np.testing.assert_allclose(scores.data, [[0.5, 0.5, 0.5]])
+    np.testing.assert_allclose(alpha.data, np.full((1, 3), 1 / 3), atol=1e-9)
 
 
 def test_evidence_concentrates_on_high_score():
     # drive one sentence's logit up, others down
     m = Tensor(np.array([[10.0, 10.0], [-10.0, -10.0], [-10.0, -10.0]]))
     w = Tensor(np.concatenate([np.zeros(4), np.ones(2)]).reshape(1, 6))
-    _, alpha = evidence_weights(Tensor(np.zeros(2)), Tensor(np.zeros(2)), m, w)
-    assert alpha.data[0] > 0.99
+    _, alpha = evidence_weights(*one_pair(np.zeros(2), np.zeros(2)), m, w)
+    assert alpha.data[0, 0] > 0.99
     assert abs(alpha.data.sum() - 1.0) < 1e-6
 
 
@@ -176,16 +181,16 @@ def test_evidence_matches_normalization_oracle():
     m = rng.normal(size=(4, 3))
     head, tail = rng.normal(size=3), rng.normal(size=3)
     w = rng.normal(size=(1, 9))
-    scores, alpha = evidence_weights(Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
+    scores, alpha = evidence_weights(*one_pair(head, tail), Tensor(m), Tensor(w))
     expected = 1 / (1 + np.exp(-np.array(
         [w[0] @ np.concatenate([head, tail, m[k]]) for k in range(4)])))
-    np.testing.assert_allclose(scores.data, expected, atol=1e-12)
-    np.testing.assert_allclose(alpha.data, expected / (1e-12 + expected.sum()), atol=1e-9)
+    np.testing.assert_allclose(scores.data[0], expected, atol=1e-12)
+    np.testing.assert_allclose(alpha.data[0], expected / (1e-12 + expected.sum()), atol=1e-9)
 
 
 def test_evidence_weight_shape_check():
     with pytest.raises(ShapeError):
-        evidence_weights(Tensor(np.zeros(2)), Tensor(np.zeros(2)),
+        evidence_weights(*one_pair(np.zeros(2), np.zeros(2)),
                          Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 4))))
 
 
@@ -193,16 +198,16 @@ def test_inter_rep_uniform_alpha_over_identical_rows():
     v = np.array([1.5, -0.5])
     m = Tensor(np.stack([v, v, v]))
     w = Tensor(np.zeros((1, 6)))
-    rep = inter_pair_rep(Tensor(np.zeros(2)), Tensor(np.ones(2)), m, w)
-    np.testing.assert_allclose(rep.vectors.data[4:], v, atol=1e-9)
+    rep = inter_pair_rep(*one_pair(np.zeros(2), np.ones(2)), m, w)
+    np.testing.assert_allclose(rep.vectors.data[0, 4:], v, atol=1e-9)
 
 
 def test_inter_rep_one_hot_selection():
     m_rows = np.array([[-4.0, 4.0], [7.0, -3.0], [-4.0, 4.0]])
     # logits: sentence 1 large positive, sentences 0 and 2 large negative
     w = Tensor(np.concatenate([np.zeros(4), np.array([5.0, -5.0])]).reshape(1, 6))
-    rep = inter_pair_rep(Tensor(np.zeros(2)), Tensor(np.zeros(2)), Tensor(m_rows), w)
-    np.testing.assert_allclose(rep.vectors.data[4:], m_rows[1], rtol=1e-3)
+    rep = inter_pair_rep(*one_pair(np.zeros(2), np.zeros(2)), Tensor(m_rows), w)
+    np.testing.assert_allclose(rep.vectors.data[0, 4:], m_rows[1], rtol=1e-3)
 
 
 def test_inter_rep_composition_oracle():
@@ -210,27 +215,30 @@ def test_inter_rep_composition_oracle():
     head, tail = rng.normal(size=3), rng.normal(size=3)
     m = rng.normal(size=(4, 3))
     w = rng.normal(size=(1, 9))
-    rep = inter_pair_rep(Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
+    rep = inter_pair_rep(*one_pair(head, tail), Tensor(m), Tensor(w))
     scores = 1 / (1 + np.exp(-np.array(
         [w[0] @ np.concatenate([head, tail, m[k]]) for k in range(4)])))
     alpha = scores / (1e-12 + scores.sum())
-    np.testing.assert_allclose(rep.vectors.data,
+    np.testing.assert_allclose(rep.vectors.data[0],
                                np.concatenate([head, tail, alpha @ m]), atol=1e-9)
-    np.testing.assert_allclose(rep.alpha, alpha, atol=1e-9)
+    np.testing.assert_allclose(rep.context.data[0], alpha @ m, atol=1e-9)
+    np.testing.assert_allclose(rep.alpha[0], alpha, atol=1e-9)
 
 
 def test_batched_rows_equal_single_pair_calls():
+    # repeated heads and tails share entity rows
     rng = np.random.default_rng(12)
-    heads, tails = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    entities = rng.normal(size=(4, 3))
+    heads, tails = np.array([0, 0, 2, 3, 1]), np.array([1, 3, 0, 0, 3])
     m = Tensor(rng.normal(size=(4, 3)))
     w = Tensor(rng.normal(size=(1, 9)))
-    batch = inter_pair_rep(Tensor(heads), Tensor(tails), m, w)
+    batch = inter_pair_rep(Tensor(entities), heads, tails, m, w)
     assert batch.vectors.shape == (5, 9) and batch.alpha.shape == batch.scores.shape == (5, 4)
     for i in range(5):
-        one = inter_pair_rep(Tensor(heads[i]), Tensor(tails[i]), m, w)
-        np.testing.assert_allclose(batch.vectors.data[i], one.vectors.data, atol=1e-12)
-        np.testing.assert_allclose(batch.scores[i], one.scores, atol=1e-12)
-        np.testing.assert_allclose(batch.alpha[i], one.alpha, atol=1e-12)
+        one = inter_pair_rep(*one_pair(entities[heads[i]], entities[tails[i]]), m, w)
+        np.testing.assert_allclose(batch.vectors.data[i], one.vectors.data[0], atol=1e-12)
+        np.testing.assert_allclose(batch.scores[i], one.scores[0], atol=1e-12)
+        np.testing.assert_allclose(batch.alpha[i], one.alpha[0], atol=1e-12)
 
 
 def test_context_is_convex_combination():
@@ -240,8 +248,8 @@ def test_context_is_convex_combination():
         m = rng.normal(size=(int(rng.integers(1, 6)), 3))
         head, tail = rng.normal(size=3), rng.normal(size=3)
         w = rng.normal(size=(1, 9))
-        rep = inter_pair_rep(Tensor(head), Tensor(tail), Tensor(m), Tensor(w))
-        c = rep.vectors.data[6:]
+        rep = inter_pair_rep(*one_pair(head, tail), Tensor(m), Tensor(w))
+        c = rep.vectors.data[0, 6:]
         slack = (1.0 - rep.alpha.sum()) * np.abs(m).max() + 1e-9
         assert np.all(c >= m.min(axis=0) - slack)
         assert np.all(c <= m.max(axis=0) + slack)
@@ -263,3 +271,89 @@ def test_node_order_permutation_leaves_final_reps_unchanged():
     agg_p = {kind: A[np.ix_(perm, perm)] for kind, A in agg.items()}
     m_perm = node_final_rep(propagate(Tensor(h0[perm]), agg_p, params), params.w_u).data
     np.testing.assert_allclose(m_perm[inv], m_direct, atol=1e-9)
+
+
+def sampled_pairs(rng, n_entities, size):
+    """(heads, tails) of a sorted random subset of the ordered pairs of n entities."""
+    pairs = np.array([(h, t) for h in range(n_entities) for t in range(n_entities) if h != t])
+    return pairs[np.sort(rng.permutation(len(pairs))[:size])].T
+
+
+def pair_linear_inputs(rng, with_context, n_entities=4, d=3, out=5, size=7):
+    heads, tails = sampled_pairs(rng, n_entities, size)
+    entities = Tensor(rng.normal(size=(n_entities, d)), requires_grad=True)
+    context = Tensor(rng.normal(size=(size, d)), requires_grad=True) if with_context else None
+    w = Tensor(rng.normal(size=(out, (3 if with_context else 2) * d)), requires_grad=True)
+    return entities, heads, tails, context, w
+
+
+def dense_pair_linear(entities, heads, tails, context, w):
+    parts = [ad.take_rows(entities, heads), ad.take_rows(entities, tails)]
+    return ad.linear(ad.concat(parts + ([] if context is None else [context]), axis=-1), w)
+
+
+@pytest.mark.parametrize("with_context", [True, False], ids=["context", "no_context"])
+def test_pair_linear_finite_differences(with_context):
+    rng = np.random.default_rng(21)
+    entities, heads, tails, context, w = pair_linear_inputs(rng, with_context)
+    # 7 of the 12 pairs of 4 entities: heads and tails repeat
+    assert len(set(heads)) < len(heads) and len(set(tails)) < len(tails)
+    weights = ad.constant(rng.normal(size=(len(heads), w.shape[0])))
+    leaves = [entities, w] + ([context] if with_context else [])
+    err, checked, skipped = ad.check_gradients(
+        lambda: ad.tsum(ad.mul(ad.pair_linear(entities, heads, tails, context, w), weights)),
+        leaves)
+    assert checked == sum(t.size for t in leaves) and skipped == 0
+    assert err < 1e-6, err
+
+
+def values_and_gradients(fn, leaves, weights):
+    with ad.Tape():
+        out = fn()
+        ad.backward(ad.tsum(ad.mul(out, weights)))
+        grads = [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.zero_grad()
+    return out.data, grads
+
+
+@pytest.mark.parametrize("with_context", [True, False], ids=["context", "no_context"])
+def test_pair_linear_equals_dense_linear(with_context):
+    rng = np.random.default_rng(22)
+    for n_entities, size in ((2, 2), (5, 20), (6, 11)):
+        entities, heads, tails, context, w = pair_linear_inputs(
+            rng, with_context, n_entities=n_entities, d=4, out=6, size=size)
+        weights = ad.constant(rng.normal(size=(size, 6)))
+        leaves = [entities, w] + ([context] if with_context else [])
+        args = (entities, heads, tails, context, w)
+        got, grads = values_and_gradients(lambda: ad.pair_linear(*args), leaves, weights)
+        want, grads_d = values_and_gradients(lambda: dense_pair_linear(*args), leaves, weights)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_d):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_pair_linear_without_context_ignores_further_weight_columns():
+    rng = np.random.default_rng(23)
+    entities, heads, tails, _, w = pair_linear_inputs(rng, True)
+    weights = ad.constant(rng.normal(size=(len(heads), w.shape[0])))
+    got, (_, d_w) = values_and_gradients(
+        lambda: ad.pair_linear(entities, heads, tails, None, w), [entities, w], weights)
+    first = Tensor(w.data[:, :6])
+    np.testing.assert_allclose(got, dense_pair_linear(entities, heads, tails, None, first).data,
+                               rtol=0, atol=1e-12)
+    assert d_w[:, :6].any() and not d_w[:, 6:].any()
+
+
+def test_pair_linear_rejects_bad_shapes_and_ids():
+    entities, ids = Tensor(np.zeros((3, 2))), np.array([0, 1])
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, ids, ids, Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, ids, ids, Tensor(np.zeros((3, 2))), Tensor(np.zeros((4, 6))))
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, ids, ids, None, Tensor(np.zeros((4, 3))))
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, ids, ids[:1], None, Tensor(np.zeros((4, 4))))
+    with pytest.raises(NotFoundError):
+        ad.pair_linear(entities, np.array([0, 3]), ids, None, Tensor(np.zeros((4, 4))))

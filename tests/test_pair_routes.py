@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pair_oracle
+from docrel import autodiff as ad
 from docrel.autodiff import Tape, backward
 from docrel.config import TrainingConfig, derive_rng
 from docrel.corpus import Document, Entity, Mention, PairKind, RelationFact, build_vocabulary
@@ -90,37 +91,88 @@ def sampled_rows(feats, seed):
     return np.sort(rng.permutation(len(feats.pairs))[:max(2, len(feats.pairs) // 3)])
 
 
+def assert_matches_the_oracle(model, feats, rows):
+    """Values, gamma, loss and every gradient against the per-pair oracle, at ATOL."""
+    dropout = frozen_dropout(model)
+    got = model.forward(feats, rows, dropout)
+    want = pair_oracle.forward(model, feats, rows, dropout)
+    assert got.reps_pre.shape == (len(want.pairs), 3 * model.config.model_width)
+    np.testing.assert_allclose(got.reps_pre.data,
+                               np.stack([r.vector.data for r in want.reps_pre]),
+                               rtol=0, atol=ATOL)
+    np.testing.assert_allclose(got.reps_post.data, want.reps_post.data, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(got.probs.data, want.probs.data, rtol=0, atol=ATOL)
+    assert (got.gamma is None) == (want.gamma is None)
+    if want.gamma is not None:
+        np.testing.assert_allclose(pair_oracle.dense_gamma(got.groups, got.gamma), want.gamma,
+                                   rtol=0, atol=ATOL)
+
+    loss, grads = gradients(lambda: model.document_loss(feats, rows, dropout), model)
+    loss_ref, grads_ref = gradients(
+        lambda: pair_oracle.document_loss(model, feats, rows, dropout), model)
+    assert loss == pytest.approx(loss_ref, abs=ATOL)
+    for pname, g_ref in grads_ref.items():
+        if g_ref is None:
+            assert grads[pname] is None or not grads[pname].any(), pname
+        else:
+            np.testing.assert_allclose(grads[pname], g_ref, rtol=0, atol=ATOL, err_msg=pname)
+    return got
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 @pytest.mark.parametrize("subset", [False, True], ids=["all_pairs", "sampled_pairs"])
 def test_routes_match_the_per_pair_oracle(world, name, subset):
     docs, vocab, features = world
     model = make_model(vocab, **CONFIGS[name])
     for seed, feats in enumerate(features):
-        rows = sampled_rows(feats, seed) if subset else None
-        dropout = frozen_dropout(model)
-        got = model.forward(feats, rows, dropout)
-        want = pair_oracle.forward(model, feats, rows, dropout)
-        assert got.reps_pre.shape == (len(want.pairs), 3 * model.config.model_width)
-        np.testing.assert_allclose(got.reps_pre.data,
-                                   np.stack([r.vector.data for r in want.reps_pre]),
-                                   rtol=0, atol=ATOL)
-        np.testing.assert_allclose(got.reps_post.data, want.reps_post.data, rtol=0, atol=ATOL)
-        np.testing.assert_allclose(got.probs.data, want.probs.data, rtol=0, atol=ATOL)
-        assert (got.gamma is None) == (want.gamma is None)
-        if want.gamma is not None:
-            np.testing.assert_allclose(pair_oracle.dense_gamma(got.groups, got.gamma), want.gamma,
-                                       rtol=0, atol=ATOL)
+        assert_matches_the_oracle(model, feats, sampled_rows(feats, seed) if subset else None)
 
-        loss, grads = gradients(lambda: model.document_loss(feats, rows, dropout), model)
-        loss_ref, grads_ref = gradients(
-            lambda: pair_oracle.document_loss(model, feats, rows, dropout), model)
-        assert loss == pytest.approx(loss_ref, abs=ATOL)
-        for pname, g_ref in grads_ref.items():
-            if g_ref is None:
-                assert grads[pname] is None or not grads[pname].any(), pname
-            else:
-                np.testing.assert_allclose(grads[pname], g_ref, rtol=0, atol=ATOL,
-                                           err_msg=pname)
+
+def one_route_documents():
+    """A document whose pairs are all inter (every entity in its own sentence) and
+    one whose pairs are all intra (every entity in one sentence)."""
+    inter = Document("only_inter", [["a", "x"], ["y", "b", "b2"], ["c", "z"], ["w"]],
+                     [Entity(0, "PER", [Mention(0, 0, 1, "a")]),
+                      Entity(1, "LOC", [Mention(1, 1, 3, "b")]),
+                      Entity(2, "ORG", [Mention(2, 0, 1, "c"), Mention(3, 0, 1, "w")])],
+                     [RelationFact(0, 1, 0, "r0", [0, 1]), RelationFact(2, 0, 1, "r1", [])])
+    intra = Document("only_intra", [["a", "x", "b", "c", "y"], ["z", "a2"]],
+                     [Entity(0, "PER", [Mention(0, 0, 1, "a"), Mention(1, 1, 2, "a2")]),
+                      Entity(1, "LOC", [Mention(0, 2, 3, "b")]),
+                      Entity(2, "ORG", [Mention(0, 3, 4, "c")])],
+                     [RelationFact(0, 1, 0, "r0", [0]), RelationFact(1, 2, 1, "r1", [0])])
+    return [inter, intra]
+
+
+@pytest.mark.parametrize("name", ["flat", "inter4intra", "no_context",
+                                  "projection_and_two_layers"])
+def test_one_route_documents_match_the_per_pair_oracle(name):
+    docs = one_route_documents()
+    vocab = build_vocabulary(docs)
+    model = make_model(vocab, **CONFIGS[name])
+    for doc in docs:
+        feats = prepare_document(doc, vocab)
+        kinds = {p.kind for p in feats.pairs}
+        assert kinds == ({PairKind.INTER} if doc.title == "only_inter" else {PairKind.INTRA})
+        for rows in (None, np.array([0, 2, 3])):
+            got = assert_matches_the_oracle(model, feats, rows)
+            assert (got.intra is None) == (kinds == {PairKind.INTER} or model.config.inter4intra)
+            assert (got.inter is None) == (kinds == {PairKind.INTRA}
+                                           and not model.config.inter4intra)
+
+
+def test_the_oracle_stays_dense(world, monkeypatch):
+    """The oracle multiplies every pair's whole row; it never forms a product per entity."""
+    docs, vocab, features = world
+    model = make_model(vocab)
+
+    def refuse(*args):
+        raise AssertionError("the oracle called pair_linear")
+    monkeypatch.setattr(ad, "pair_linear", refuse)
+    for feats in features:
+        pair_oracle.document_loss(model, feats, dropout=frozen_dropout(model))
+    with pytest.raises(AssertionError, match="pair_linear"):
+        model.forward(features[0])
 
 
 def intra_views(record):

@@ -11,7 +11,7 @@ import pair_oracle
 from docrel import autodiff as ad
 from docrel.autodiff import Tape, Tensor, backward, check_gradients
 from docrel.errors import ShapeError
-from docrel.reasoning import chain_attention, chain_candidates, reasoning_update
+from docrel.reasoning import EntityRows, chain_attention, chain_candidates, reasoning_update
 
 
 def pairs_over(n):
@@ -282,3 +282,106 @@ def test_forward_and_backward_allocate_no_pair_by_pair_array():
         tracemalloc.stop()
     # a (P, P) float array alone would take n * n * 8 bytes; the (P, 2L) cells take 1/20 of it
     assert peak < n * n * 8 / 2, (peak, n * n * 8)
+
+
+class EntityPool:
+    """A (P, 3d) pool whose rows at `inter` read [entities[h]; entities[t]; context]
+    and whose other rows are free leaves."""
+
+    def __init__(self, rng, pairs, d, share, with_context):
+        n = len(pairs)
+        self.inter = np.sort(rng.permutation(n)[:max(1, round(share * n))])
+        self.rest = np.setdiff1d(np.arange(n), self.inter)
+        self.heads, self.tails = pairs[self.inter, 0], pairs[self.inter, 1]
+        self.entities = Tensor(rng.normal(size=(pairs.max() + 1, d)), requires_grad=True)
+        self.free = Tensor(rng.normal(size=(len(self.rest), 3 * d)), requires_grad=True)
+        self.context = (Tensor(rng.normal(size=(len(self.inter), d)), requires_grad=True)
+                        if with_context else None)
+        self.leaves = [self.entities] + [t for t in (self.free, self.context)
+                                         if t is not None and t.size]
+
+    def reps(self) -> Tensor:
+        third = self.context
+        if third is None:
+            third = ad.constant(np.zeros((len(self.inter), self.entities.shape[1])))
+        rows = ad.concat([ad.take_rows(self.entities, self.heads),
+                          ad.take_rows(self.entities, self.tails), third], axis=-1)
+        if not self.rest.size:
+            return rows
+        return ad.place_rows([rows, self.free], [self.inter, self.rest])
+
+    def entity_rows(self) -> EntityRows:
+        return EntityRows(self.inter, self.entities, self.heads, self.tails, self.context)
+
+
+@pytest.mark.parametrize("share", [0.4, 1.0])
+@pytest.mark.parametrize("with_context", [True, False], ids=["context", "no_context"])
+def test_entity_row_queries_match_the_linear_queries(share, with_context):
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        pairs = random_subset(rng, int(rng.integers(2, 7)))
+        pool = EntityPool(rng, pairs, 3, share, with_context)
+        w = Tensor(rng.normal(size=(9, 9)) * 0.5, requires_grad=True)
+        weights = ad.constant(rng.normal(size=(len(pairs), 9)))
+        groups = groups_of(pairs)
+
+        def run(rows):
+            out, gamma = reasoning_update(pool.reps(), groups, w, rows)
+            _, grads = gradients_of(
+                lambda: ad.tsum(ad.mul(reasoning_update(pool.reps(), groups, w, rows)[0],
+                                       weights)), pool.leaves + [w])
+            return out.data, gamma, grads
+
+        out, gamma, grads = run(pool.entity_rows())
+        out_d, gamma_d, grads_d = run(None)
+        np.testing.assert_allclose(out, out_d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gamma, gamma_d, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_d):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_entity_row_queries_finite_differences():
+    rng = np.random.default_rng(16)
+    pairs = ragged_cases()[0][1]
+    pool = EntityPool(rng, pairs, 2, 0.5, True)
+    w = Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+    weights = ad.constant(rng.normal(size=(len(pairs), 6)))
+    groups = groups_of(pairs)
+    leaves = pool.leaves + [w]
+    err, checked, skipped = check_gradients(
+        lambda: ad.tsum(ad.mul(reasoning_update(pool.reps(), groups, w, pool.entity_rows())[0],
+                               weights)), leaves)
+    assert checked == sum(t.size for t in leaves) and skipped == 0
+    assert err < 1e-6, err
+
+
+def test_float32_chain_attention_stays_float32(monkeypatch):
+    rng = np.random.default_rng(17)
+    pairs = ragged_cases()[0][1]
+    groups = groups_of(pairs)
+    q, r, weights = (rng.normal(size=(len(pairs), 5)) for _ in range(3))
+
+    def run():
+        queries, reps = Tensor(q, requires_grad=True), Tensor(r, requires_grad=True)
+        with Tape():
+            out, gamma = chain_attention(queries, reps, groups)
+            backward(ad.tsum(ad.mul(out, ad.constant(weights))))
+        return out.data, gamma, queries.grad, reps.grad
+
+    want = run()
+    # every array an op hands to the tape, before Tensor casts it to the default dtype
+    made = []
+    result, accum, adopt = ad._result, ad._accum, ad._adopt
+    monkeypatch.setattr(ad, "_result", lambda data, *rest: made.append(data.dtype) or
+                        result(data, *rest))
+    monkeypatch.setattr(ad, "_accum", lambda t, g: made.append(g.dtype) or accum(t, g))
+    monkeypatch.setattr(ad, "_adopt", lambda t, g: made.append(g.dtype) or adopt(t, g))
+    ad.set_default_dtype(np.float32)
+    try:
+        got = run()
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert set(made) == {np.dtype(np.float32)}
+    for a, b in zip(got, want):
+        assert a.dtype == np.float32
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-5)
