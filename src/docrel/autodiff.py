@@ -642,12 +642,11 @@ def dropout(a, mask: np.ndarray) -> Tensor:
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest values, ties broken by lowest index, sorted ascending."""
+    """Indices of the k largest values along the last axis, ties broken by
+    lowest index, sorted ascending."""
     values = np.asarray(values)
-    n = values.shape[0]
-    k = min(k, n)
-    order = np.lexsort((np.arange(n), -values))
-    idx = np.sort(order[:k])
+    order = np.argsort(-values, axis=-1, kind="stable")
+    idx = np.sort(order[..., :k], axis=-1)
     trace = _TRACE.get()
     if trace is not None:
         trace.append(("topk", idx.copy()))

@@ -230,15 +230,16 @@ def load_word_vectors(path, vocab: Vocabulary, dim: int,
                       rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
     """Read `token v1 ... v_dim` lines; vocabulary words not in the file get sampled rows."""
     table = rng.normal(0.0, scale, size=(vocab.n_words, dim))
-    found = 0
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        if not raw.strip():
             continue
-        parts = line.rstrip().split(" ")
-        if len(parts) != dim + 1:
-            raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(parts) - 1}")
-        wid = vocab.word2id.get(parts[0])
-        if wid is not None:
-            table[wid] = np.array([float(v) for v in parts[1:]])
-            found += 1
+        try:  # a UnicodeDecodeError is a ValueError too
+            word, *values = raw.decode("utf-8").rstrip().split(" ")
+            row = [float(v) for v in values] if word in vocab.word2id else None
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if len(values) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} values, got {len(values)}")
+        if row is not None:
+            table[vocab.word2id[word]] = row
     return table

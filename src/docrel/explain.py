@@ -88,15 +88,15 @@ def explain_pair(model: RelationModel, feats: DocFeatures, head: int, tail: int,
             for k in range(len(alpha))
         ]
     else:
-        route = out.intra
-        for i in np.flatnonzero(route.instances.pair == row):
-            sid = int(route.instances.sentence[i])
-            sent = doc.sentences[sid]
+        route, inst = out.intra, out.intra.instances
+        words = [w for sent in doc.sentences for w in sent]
+        texts = [" ".join(words[t] for t in np.flatnonzero(m)) for m in feats.mention_means]
+        for i in np.flatnonzero(inst.pair == row):
+            sid = int(inst.sentence[i])
+            off = feats.sent_offsets[sid]
             record.intra_contexts.append(IntraContextView(
-                sentence_id=sid,
-                head_text=" ".join(sent[t] for t in np.flatnonzero(route.instances.head_means[i])),
-                tail_text=" ".join(sent[t] for t in np.flatnonzero(route.instances.tail_means[i])),
-                top_words=[WordHighlight(sid, int(t), sent[t], float(route.alpha[i, t]))
+                sentence_id=sid, head_text=texts[inst.head[i]], tail_text=texts[inst.tail[i]],
+                top_words=[WordHighlight(sid, int(t - off), words[t], float(route.alpha[i, t]))
                            for t in route.topk[i] if t >= 0],
             ))
 

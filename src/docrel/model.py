@@ -241,8 +241,9 @@ class RelationModel:
         rows = np.arange(n_pairs) if rows is None else np.asarray(rows, dtype=np.int64)
         if not rows.size:
             raise ContractError(f"document {feats.doc.title!r}: no entity pairs to score")
-        if rows.min() < 0 or rows.max() >= n_pairs:
-            raise ContractError(f"document {feats.doc.title!r}: pair rows outside [0, {n_pairs})")
+        if rows.min() < 0 or rows.max() >= n_pairs or np.unique(rows).size != rows.size:
+            raise ContractError(f"document {feats.doc.title!r}: pair rows must be distinct "
+                                f"and inside [0, {n_pairs})")
 
         # one embedding feeds both encoders; one sweep per direction reads every sentence
         x = embed_tokens(feats.doc_feats, self.embeddings)
@@ -255,8 +256,8 @@ class RelationModel:
         intra = inter = entity_rows = None
         if intra_pos.size:
             intra = intra_mod.intra_pair_rep(
-                feats.instances.select(rows[intra_pos]), sent_states, feats.sent_offsets,
-                self.w_intra.tensor, cfg.topk, cfg.beta, average=cfg.intra_average)
+                feats.instances.select(rows[intra_pos]), sent_states, feats.mention_means,
+                feats.sent_offsets, self.w_intra.tensor, cfg.topk, cfg.beta, cfg.intra_average)
         if inter_pos.size:
             g_doc, d_doc = encode_document(x, self.doc_encoder)
             g_doc = dropout.apply(self._project(g_doc), ("doc",))

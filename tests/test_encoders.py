@@ -1,6 +1,8 @@
 """Embedding widths, LSTM dynamics against an independent recurrence oracle,
 and the length-batched sweep against one sweep per sequence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,4 +329,15 @@ def test_load_word_vectors_width_mismatch(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("cat 1.0 2.0 3.0\n", encoding="utf-8")
     with pytest.raises(ParseError):
+        load_word_vectors(path, vocab, dim=2, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("content", [b"cat 1.0 2.0\na 1.0 zz\n", b"cat 1.0 2.0\na 1.0 \xff\n"],
+                         ids=["not_a_number", "not_utf8"])
+def test_load_word_vectors_bad_value_names_its_line(tmp_path, content):
+    vocab = Vocabulary(word2id={"<pad>": 0, "<unk>": 1, "cat": 2, "a": 3},
+                       type2id={"<none>": 0}, rel2id={}, n_coref=2)
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: ")):
         load_word_vectors(path, vocab, dim=2, rng=np.random.default_rng(0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from docrel.autodiff import Tensor
+from docrel.autodiff import Tape, Tensor, decision_trace
 from docrel.corpus import Document, Entity, Mention
 from docrel.errors import ContractError, ShapeError
 from docrel.intra import (context_attention, intra_instances, intra_pair_rep, span_means,
@@ -147,15 +147,18 @@ def table_of(doc, pairs):
     return intra_instances(doc, rows)
 
 
-def stacked(encs):
-    """Per-sentence state tensors as the document's (T, d) states and sentence offsets."""
+def stacked(doc, encs):
+    """Per-sentence state tensors as the document's (T, d) states, the mentions'
+    span-averaging rows over them and the sentence offsets."""
     offsets = np.cumsum([0] + [e.shape[0] for e in encs])
-    return Tensor(np.concatenate([e.data for e in encs])), offsets
+    spans = [(offsets[m.sentence_id] + m.start, offsets[m.sentence_id] + m.end)
+             for e in doc.entities for m in e.mentions]
+    return Tensor(np.concatenate([e.data for e in encs])), span_means(spans, offsets[-1]), offsets
 
 
 def pair_route(doc, pair, encs, w, **kw):
     """The intra route over the co-occurrence instances of one (head, tail) pair."""
-    return intra_pair_rep(table_of(doc, [pair]), *stacked(encs), w, **kw)
+    return intra_pair_rep(table_of(doc, [pair]), *stacked(doc, encs), w, **kw)
 
 
 def test_intra_single_instance_is_plain_concat():
@@ -301,21 +304,87 @@ def test_intra_requires_co_occurrence():
     # an intra pair selected next to one without instances
     table = table_of(intra_doc(), [(0, 1), (1, 0)])
     with pytest.raises(ContractError):
-        intra_pair_rep(table.select([0, 2]), *stacked(encode_all(intra_doc(), rng)), w,
-                       k=2, beta=0.9)
+        intra_pair_rep(table.select([0, 2]), *stacked(intra_doc(), encode_all(intra_doc(), rng)),
+                       w, k=2, beta=0.9)
 
 
 def test_instance_table_order_and_selection():
     doc = intra_doc()
     table = table_of(doc, [(0, 1), (1, 0)])
-    # pair by pair, then by sentence; spans are sentence-level, padded to the longest sentence
+    # pair by pair, then by sentence; mentions are numbered entity by entity
     np.testing.assert_array_equal(table.pair, [0, 0, 1, 1])
     np.testing.assert_array_equal(table.sentence, [0, 1, 0, 1])
-    np.testing.assert_array_equal(table.head_means, span_means([(0, 1), (0, 1), (2, 3), (1, 2)], 4))
-    np.testing.assert_array_equal(table.tail_means, span_means([(2, 3), (1, 2), (0, 1), (0, 1)], 4))
+    np.testing.assert_array_equal(table.head, [0, 1, 2, 3])
+    np.testing.assert_array_equal(table.tail, [2, 3, 0, 1])
     picked = table.select([1, 0, 1])
     assert picked.n_pairs == 3
     np.testing.assert_array_equal(picked.pair, [0, 0, 1, 1, 2, 2])
-    for name in ("sentence", "head_means", "tail_means"):
+    for name in ("sentence", "head", "tail"):
         np.testing.assert_array_equal(getattr(picked, name),
                                       getattr(table, name)[[2, 3, 0, 1, 2, 3]])
+
+
+def route_tape_length(doc, pairs, d=3):
+    encs = encode_all(doc, np.random.default_rng(12), d)
+    states, means, offsets = stacked(doc, encs)
+    states.requires_grad = True
+    w = Tensor(np.random.default_rng(13).normal(size=(d, 2 * d)), requires_grad=True)
+    with Tape() as tape:
+        intra_pair_rep(table_of(doc, pairs), states, means, offsets, w, k=2, beta=0.9)
+        return len(tape)
+
+
+def test_route_tape_length_does_not_grow_with_host_sentences():
+    sents = [["a", "x", "b", "y"], ["c", "d", "z"], ["e", "f"], ["g", "h", "w"]]
+    one_host = Document("one", sents,
+                        [Entity(0, "A", [Mention(0, 0, 1, "a")]),
+                         Entity(1, "B", [Mention(0, 2, 3, "b")])], [])
+    many_hosts = Document("many", sents,
+                          [Entity(0, "A", [Mention(0, 0, 1, "a"), Mention(1, 0, 1, "c"),
+                                           Mention(2, 0, 1, "e"), Mention(3, 0, 1, "g")]),
+                           Entity(1, "B", [Mention(0, 2, 3, "b"), Mention(1, 1, 2, "d"),
+                                           Mention(2, 1, 2, "f"), Mention(3, 1, 2, "h")])], [])
+    assert set(table_of(many_hosts, [(0, 1)]).sentence.tolist()) == {0, 1, 2, 3}
+    assert route_tape_length(one_host, [(0, 1)]) == \
+        route_tape_length(many_hosts, [(0, 1), (1, 0)])
+
+
+def test_topk_stays_inside_a_sentence_shorter_than_k():
+    doc = Document("two", [["p", "q", "r", "s", "u"], ["h", "t"], ["k", "l", "m", "n", "o"]],
+                   [Entity(0, "A", [Mention(1, 0, 1, "h")]),
+                    Entity(1, "B", [Mention(1, 1, 2, "t")])], [])
+    rng = np.random.default_rng(14)
+    encs = encode_all(doc, rng)
+    # beta = 1 leaves only the top-K mean: both words of sentence 1, half each
+    rep = pair_route(doc, (0, 1), encs, Tensor(rng.normal(size=(4, 8))), k=4, beta=1.0)
+    np.testing.assert_array_equal(rep.topk, [[5, 6, -1, -1]])
+    np.testing.assert_allclose(rep.vectors.data[0, 8:], encs[1].data.mean(axis=0), atol=1e-15)
+
+
+def test_underflowing_weights_never_reach_other_sentences():
+    # a pair co-occurring only in a 3-word sentence between two 6-word sentences
+    doc = Document(
+        "short", [["p", "q", "r", "s", "u", "v"], ["h", "t", "x"], ["k", "l", "m", "n", "o", "j"]],
+        [Entity(0, "A", [Mention(1, 0, 1, "h")]), Entity(1, "B", [Mention(1, 1, 2, "t")])], [])
+    # word "h" scores 1e4 and the rest of its sentence 0, so their weights underflow
+    # to exactly 0; words of the other sentences would score higher still
+    g = [np.full((6, 2), 50.0), np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+         np.full((6, 2), 50.0)]
+    w = np.zeros((2, 4))
+    w[0, 0] = 1e4
+    rep = pair_route(doc, (0, 1), [enc_of(x) for x in g], Tensor(w), k=4, beta=0.9)
+    inside = (np.arange(15) >= 6) & (np.arange(15) < 9)
+    np.testing.assert_array_equal(rep.alpha[0, inside], [1.0, 0.0, 0.0])
+    assert not rep.alpha[0, ~inside].any()
+    np.testing.assert_array_equal(rep.topk, [[6, 7, 8, -1]])
+
+
+def test_masked_words_make_no_relu_decision():
+    rng = np.random.default_rng(15)
+    doc = intra_doc()
+    with decision_trace() as trace:
+        rep = pair_route(doc, (0, 1), encode_all(doc, rng), Tensor(rng.normal(size=(4, 8))),
+                         k=2, beta=0.9)
+    (signs,) = [v for kind, v in trace if kind == "relu"]
+    inside = rep.instances.sentence[:, None] == np.repeat([0, 1, 2], [4, 3, 2])
+    assert signs[inside].any() and not signs[~inside].any()

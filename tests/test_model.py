@@ -178,6 +178,17 @@ def test_forward_takes_a_row_subset(small_world):
             model.forward(feats, bad)
 
 
+def test_forward_rejects_a_duplicate_row(small_world):
+    # chain reasoning groups pairs by head and tail, so a repeated pair would
+    # silently change the attention over the others
+    docs, vocab = small_world
+    model = RelationModel(toy_config(), vocab)
+    feats = prepare_document(docs[0], vocab)
+    model.forward(feats, np.array([0, 1, 2]))
+    with pytest.raises(ContractError, match="distinct"):
+        model.forward(feats, np.array([0, 0, 1, 2]))
+
+
 def test_no_reasoning_flag_bypasses_update(small_world):
     docs, vocab = small_world
     feats = prepare_document(docs[0], vocab)
