@@ -315,67 +315,140 @@ def linear(x, weight, bias=None) -> Tensor:
     return _result(data, bw, *parents)
 
 
-def pair_linear(entities, heads, tails, context, weight) -> Tensor:
+def pair_linear(entities, heads, tails, context, weight, plain=None, rows=None) -> Tensor:
     """linear(concat([entities[heads], entities[tails], context]), weight) as one taped op.
 
     With W_a, W_b and W_c the column blocks of weight that meet the head, tail
     and context thirds, a row is (E W_a^T)[h] + (E W_b^T)[t] + c W_c^T, so the
-    head and tail products are formed once per entity, not once per row. A
-    None context drops its term; weight then needs only its first 2d columns,
-    and any further columns get zero gradient. The backward sums the output
-    gradient per head and per tail entity first; the finite-difference suite
-    certifies it.
+    head and tail products are formed once per entity, not once per row. The
+    context is one of:
+
+    - a (Q, d_c) tensor of rows c;
+    - a pair (alpha, sentences) of a (Q, S) and an (S, d_c) tensor, standing for
+      the rows alpha @ sentences; its term is formed once per sentence, as
+      alpha (sentences W_c^T);
+    - None, which drops the term. Without `plain`, weight then needs only its
+      first 2d columns, and any further columns get zero gradient.
+
+    With `plain`, an (n, width) tensor, the result has n rows: the Q pair rows
+    above at `rows`, and plain[k] W^T at every other row k (plain's rows at
+    `rows` are not read). Both kinds write one weight gradient. The backward
+    sums the output gradient per head entity, per tail entity and per sentence
+    first; the finite-difference suite certifies it.
     """
     entities, weight = as_tensor(entities), as_tensor(weight)
-    context = None if context is None else as_tensor(context)
+    alpha = sentences = None
+    if isinstance(context, tuple):
+        alpha, sentences = (as_tensor(c) for c in context)
+        context = None
+    elif context is not None:
+        context = as_tensor(context)
+    plain = None if plain is None else as_tensor(plain)
     ed, wd = entities.data, weight.data
     heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
     if ed.ndim != 2 or wd.ndim != 2 or heads.ndim != 1 or tails.shape != heads.shape:
         raise ShapeError(f"pair_linear: entities {ed.shape}, weight {wd.shape}, "
                          f"heads {heads.shape}, tails {tails.shape}")
     n_ent, d = ed.shape
-    if context is None:
-        fits = wd.shape[1] >= 2 * d
-    else:
-        fits = (context.ndim == 2 and context.shape[0] == heads.size
+    n_pairs = heads.size
+    if context is not None:
+        fits = (context.ndim == 2 and context.shape[0] == n_pairs
                 and wd.shape[1] == 2 * d + context.shape[1])
+    elif alpha is not None:
+        fits = (alpha.ndim == 2 and sentences.ndim == 2
+                and alpha.shape == (n_pairs, sentences.shape[0])
+                and wd.shape[1] == 2 * d + sentences.shape[1])
+    else:
+        fits = wd.shape[1] >= 2 * d
+    if plain is not None:
+        fits = fits and plain.ndim == 2 and plain.shape[1] == wd.shape[1]
     if not fits:
-        raise ShapeError(f"pair_linear: entities {ed.shape}, context "
-                         f"{None if context is None else context.shape}, weight {wd.shape}")
+        shown = context.shape if context is not None else (
+            None if alpha is None else (alpha.shape, sentences.shape))
+        raise ShapeError(f"pair_linear: entities {ed.shape}, context {shown}, weight {wd.shape}"
+                         f", plain {None if plain is None else plain.shape}")
     ids = np.concatenate([heads, tails])
     if ids.size and (ids.min() < 0 or ids.max() >= n_ent):
         raise NotFoundError(f"pair_linear: entity id outside [0, {n_ent})")
-    w_a, w_b, w_c = wd[:, :d], wd[:, d:2 * d], wd[:, 2 * d:]
-    if context is None:
-        data = (ed @ w_a.T)[heads]
+    if plain is None:
+        n, rows, other = n_pairs, np.arange(n_pairs), None
     else:
-        data = context.data @ w_c.T
-        data += (ed @ w_a.T)[heads]
-    data += (ed @ w_b.T)[tails]
+        n, rows = plain.shape[0], np.asarray(rows, dtype=np.int64)
+        try:
+            taken = np.bincount(rows, minlength=n) if rows.shape == heads.shape else None
+        except ValueError:  # a negative row
+            taken = None
+        if taken is None or taken.size != n or (n_pairs and taken.max() > 1):
+            raise ContractError(f"pair_linear: rows must be {n_pairs} distinct rows "
+                                f"inside [0, {n})")
+        other = np.flatnonzero(taken == 0)
+    w_a, w_b, w_c = wd[:, :d], wd[:, d:2 * d], wd[:, 2 * d:]
+    # one selector row per output row picks its head and tail products and weights
+    # its sentence products; one product with their stacked table forms the pair rows
+    n_sent = 0 if alpha is None else alpha.shape[1]
+    select = np.zeros((n, 2 * n_ent + n_sent), np.result_type(ed, wd))
+    select[rows, heads] = 1.0
+    select[rows, tails + n_ent] = 1.0
+    # (2E, out): every entity times W_a^T, then times W_b^T, in one batched product
+    table = np.matmul(ed, wd[:, :2 * d].reshape(-1, 2, d).transpose(1, 2, 0))
+    table = table.reshape(2 * n_ent, wd.shape[0])
+    if alpha is not None:
+        select[rows, 2 * n_ent:] = alpha.data
+        per_sentence = sentences.data @ w_c.T  # (S, out)
+        table = np.concatenate([table, per_sentence])
+    data = select @ table
+    if context is not None:
+        data[rows] += context.data @ w_c.T
+    if other is not None:
+        data[other] = plain.data[other] @ wd.T
 
     def bw(g):
-        # (2, E, out): the rows of g summed per head entity and per tail entity
-        rows = np.arange(heads.size)
-        picks = np.zeros((2, n_ent, heads.size), g.dtype)
-        picks[0, heads, rows] = picks[1, tails, rows] = 1.0
-        s_h, s_t = picks @ g
+        # the selector's transpose sums g's pair rows per head, per tail and per sentence
+        sums = select.T @ g
+        s_h, s_t, s_c = sums[:n_ent], sums[n_ent:2 * n_ent], sums[2 * n_ent:]
+        if plain is None:
+            g_plain, x_plain = g[:0], np.zeros((0, wd.shape[1]), wd.dtype)
+        else:
+            g_plain, x_plain = g[other], plain.data[other]
+        g_pairs = None if context is None else (g if plain is None else g[rows])
         if entities.requires_grad:
             d_e = s_h @ w_a
             d_e += s_t @ w_b
             _adopt(entities, d_e)
         if weight.requires_grad:
             d_w = np.empty_like(wd)
-            np.matmul(s_h.T, ed, out=d_w[:, :d])
-            np.matmul(s_t.T, ed, out=d_w[:, d:2 * d])
-            if context is None:
-                d_w[:, 2 * d:] = 0.0
+
+            def block(cols, g_rows, x_rows):
+                # pair sums and plain rows meet the same columns: one product per block
+                if g_plain.size:
+                    g_rows = np.concatenate([g_rows, g_plain])
+                    x_rows = np.concatenate([x_rows, x_plain[:, cols]])
+                np.matmul(g_rows.T, x_rows, out=d_w[:, cols])
+
+            block(slice(0, d), s_h, ed)
+            block(slice(d, 2 * d), s_t, ed)
+            rest = slice(2 * d, None)
+            if context is not None:
+                block(rest, g_pairs, context.data)
+            elif alpha is not None:
+                block(rest, s_c, sentences.data)
             else:
-                np.matmul(g.T, context.data, out=d_w[:, 2 * d:])
+                block(rest, g[:0], x_plain[:0, rest])
             _adopt(weight, d_w)
         if context is not None and context.requires_grad:
-            _adopt(context, g @ w_c)
+            _adopt(context, g_pairs @ w_c)
+        if alpha is not None:
+            if alpha.requires_grad:
+                d_alpha = g @ per_sentence.T
+                _adopt(alpha, d_alpha if plain is None else d_alpha[rows])
+            if sentences.requires_grad:
+                _adopt(sentences, s_c @ w_c)
+        if plain is not None and plain.requires_grad and other.size:
+            if plain.grad is None:
+                plain.grad = np.zeros_like(plain.data)
+            plain.grad[other] += g_plain @ wd
 
-    parents = (entities, weight) if context is None else (entities, weight, context)
+    parents = [entities, weight] + [t for t in (context, alpha, sentences, plain) if t is not None]
     return _result(data, bw, *parents)
 
 

@@ -53,12 +53,12 @@ def aggregation_matrices(g: MentionGraph) -> dict[EdgeKind, np.ndarray]:
     n = g.n_nodes
     out = {}
     for kind in EdgeKind:
-        adj = g.adjacency(kind)
+        edges = np.asarray(g.edges[kind], dtype=np.int64).reshape(-1, 2)
+        u, v = np.concatenate([edges, edges[:, ::-1]]).T  # both directions
+        share = 1.0 / np.maximum(1, np.bincount(u, minlength=n))
         A = np.zeros((n, n))
-        for u in range(n):
-            c = max(1, len(adj[u]))
-            A[u, adj[u]] = 1.0 / c
-            A[u, u] += 1.0 / c
+        A[u, v] = share[u]
+        A[np.arange(n), np.arange(n)] += share
         out[kind] = A
     return out
 
@@ -114,7 +114,12 @@ class InterRoute(NamedTuple):
     vectors: Tensor     # (P, 3d) pair representations [head; tail; context]
     context: Tensor     # (P, d) evidence-weighted sentence average, the last third
     scores: np.ndarray  # (P, S) logistic evidence score per sentence
-    alpha: np.ndarray   # scores normalized by their row sum
+    weights: Tensor     # (P, S) scores normalized by their row sum; context = weights @ sentences
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The evidence weights as an array."""
+        return self.weights.data
 
 
 def inter_pair_rep(entities: Tensor, heads: np.ndarray, tails: np.ndarray,
@@ -125,4 +130,4 @@ def inter_pair_rep(entities: Tensor, heads: np.ndarray, tails: np.ndarray,
     context = ad.matmul(alpha, m_sentences)
     vectors = ad.concat([ad.take_rows(entities, heads), ad.take_rows(entities, tails), context],
                         axis=-1)
-    return InterRoute(vectors, context, scores.data, alpha.data)
+    return InterRoute(vectors, context, scores.data, alpha)

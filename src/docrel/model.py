@@ -1,8 +1,16 @@
-"""Full model: embeddings, encoders, both pair routes, reasoning, classifier."""
+"""Full model: embeddings, encoders, both pair routes, reasoning, classifier.
+
+The classifier's first layer W2 is linear right before its relu, so the forward
+forms W2 r on the rows entering the last reasoning layer, per entity and per
+sentence for inter pairs (`row_products`), and lets that layer mix those
+hidden-wide products (`values` of `chain_attention`). The (P, 3d) matrix after
+reasoning is never formed; `DocForward.reps_post` computes it on demand.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +26,8 @@ from .graph import EdgeKind, MentionGraph, build_mention_graph
 from .inter import InterRoute, RgcnParams, aggregation_matrices, node_final_rep, propagate
 from .intra import IntraInstances, IntraRoute, intra_instances, span_means
 from .optim import Parameter
-from .reasoning import ChainGroups, EntityRows, chain_candidates, reasoning_update
+from .reasoning import (ChainGroups, EntityRows, chain_candidates, chain_mix, reasoning_update,
+                        row_products)
 
 BCE_EPS = 1e-12
 
@@ -125,13 +134,21 @@ class ClassifierParams:
 
 def relation_probabilities(rep, params: ClassifierParams,
                            dropout: DropoutState = _NO_DROPOUT,
-                           dropout_key: tuple = ("cls",)) -> Tensor:
-    """sigmoid(W1 relu(W2 r + b1) + b2), per relation independently."""
+                           dropout_key: tuple = ("cls",), projected: bool = False) -> Tensor:
+    """sigmoid(W1 relu(W2 r + b1) + b2), per relation independently.
+
+    With `projected`, rep already holds W2 r (hidden wide): the forward forms
+    that first product before chain reasoning mixes it.
+    """
     rep = ad.as_tensor(rep) if not isinstance(rep, Tensor) else rep
-    if rep.shape[-1] != params.w2.data.shape[1]:
+    width = params.w2.data.shape[0 if projected else 1]
+    if rep.shape[-1] != width:
         raise ShapeError(f"relation_probabilities: rep width {rep.shape[-1]}, "
-                         f"classifier expects {params.w2.data.shape[1]}")
-    hidden = ad.relu(ad.linear(rep, params.w2.tensor, params.b1.tensor))
+                         f"classifier expects {width}")
+    if projected:
+        hidden = ad.relu(rep + params.b1.tensor)
+    else:
+        hidden = ad.relu(ad.linear(rep, params.w2.tensor, params.b1.tensor))
     hidden = dropout.apply(hidden, dropout_key)
     return ad.sigmoid(ad.linear(hidden, params.w1.tensor, params.b2.tensor))
 
@@ -162,10 +179,17 @@ class DocForward:
     inter: InterRoute | None             # inter block, with the evidence of every pair
     block_row: np.ndarray                # (P,) row of each pair in [intra block; inter block]
     pool_input: Tensor                   # (P, 3d) matrix entering the last reasoning layer
-    reps_post: Tensor                    # (P, 3d) matrix after reasoning (== pool when disabled)
     gamma: np.ndarray | None             # (P, 2L) cell weights of the last reasoning layer
     groups: ChainGroups | None           # head and tail groups behind the gamma cells
     probs: Tensor                        # (P, |R|)
+
+    @cached_property
+    def reps_post(self) -> Tensor:
+        """(P, 3d) matrix after reasoning (pool_input when disabled), untaped. The
+        forward never forms it: its last layer mixes classifier products instead."""
+        if self.gamma is None:
+            return self.pool_input
+        return ad.constant(chain_mix(self.gamma, self.pool_input.data, self.groups))
 
 
 class RelationModel:
@@ -241,7 +265,7 @@ class RelationModel:
         rows = np.arange(n_pairs) if rows is None else np.asarray(rows, dtype=np.int64)
         if not rows.size:
             raise ContractError(f"document {feats.doc.title!r}: no entity pairs to score")
-        if rows.min() < 0 or rows.max() >= n_pairs or np.unique(rows).size != rows.size:
+        if rows.min() < 0 or rows.max() >= n_pairs or np.bincount(rows).max() > 1:
             raise ContractError(f"document {feats.doc.title!r}: pair rows must be distinct "
                                 f"and inside [0, {n_pairs})")
 
@@ -251,7 +275,9 @@ class RelationModel:
         sent_states = dropout.apply(self._project(g), ("sent",))
         sent_summaries = self._project(summaries)
 
-        routed_intra = np.isin(rows, feats.instances.pair) & (not cfg.inter4intra)
+        has_instances = np.zeros(n_pairs, dtype=bool)
+        has_instances[feats.instances.pair] = True
+        routed_intra = has_instances[rows] & (not cfg.inter4intra)
         intra_pos, inter_pos = np.flatnonzero(routed_intra), np.flatnonzero(~routed_intra)
         intra = inter = entity_rows = None
         if intra_pos.size:
@@ -265,13 +291,13 @@ class RelationModel:
             states = propagate(h0, feats.agg, self.rgcn)
             node_m = node_final_rep(states, self.rgcn.w_u)
             entities = ad.matmul(ad.constant(feats.entity_means), node_m)
+            sentences = ad.take_rows(node_m, feats.graph.sentence_nodes)
             sel = rows[inter_pos]
             inter = inter_mod.inter_pair_rep(
-                entities, feats.heads[sel], feats.tails[sel],
-                ad.take_rows(node_m, feats.graph.sentence_nodes), self.w_evidence.tensor)
-            # the first reasoning layer forms these rows' queries per entity
+                entities, feats.heads[sel], feats.tails[sel], sentences, self.w_evidence.tensor)
+            # products with these rows are formed per entity and per sentence
             entity_rows = EntityRows(inter_pos, entities, feats.heads[sel], feats.tails[sel],
-                                     None if cfg.no_context else inter.context)
+                                     None if cfg.no_context else (inter.weights, sentences))
 
         block_row = np.argsort(np.concatenate([intra_pos, inter_pos]))
         routed = [(route.vectors, pos) for route, pos in ((intra, intra_pos), (inter, inter_pos))
@@ -280,18 +306,24 @@ class RelationModel:
         if cfg.no_context:
             dm = cfg.model_width
             reps_pre = reps_pre * ad.constant(np.repeat([1.0, 0.0], [2 * dm, dm]))
-        pool = pool_input = reps_pre
+        pool_input = reps_pre
         gamma = groups = None
         if not cfg.no_reasoning:
             groups = chain_candidates(feats.heads[rows], feats.tails[rows])
-            for _ in range(cfg.reasoning_layers):
-                pool_input = pool
-                pool, gamma = reasoning_update(pool, groups, self.w_att.tensor, entity_rows)
+            for _ in range(cfg.reasoning_layers - 1):
+                pool_input, _ = reasoning_update(pool_input, groups, self.w_att.tensor,
+                                                 entity_rows)
                 entity_rows = None  # later layers read mixtures of rows
-        probs = relation_probabilities(pool, self.classifier, dropout, ("cls",))
+        # W2 is linear ahead of the relu, so W2 (gamma pool) = gamma (W2 pool): the last
+        # layer mixes the hidden-wide products instead of the 3d-wide rows
+        first = row_products(pool_input, self.classifier.w2.tensor, entity_rows)
+        if groups is not None:
+            first, gamma = reasoning_update(pool_input, groups, self.w_att.tensor, entity_rows,
+                                            first)
+        probs = relation_probabilities(first, self.classifier, dropout, ("cls",), projected=True)
         return DocForward(rows=rows, reps_pre=reps_pre, intra=intra, inter=inter,
-                          block_row=block_row, pool_input=pool_input, reps_post=pool,
-                          gamma=gamma, groups=groups, probs=probs)
+                          block_row=block_row, pool_input=pool_input, gamma=gamma,
+                          groups=groups, probs=probs)
 
     def document_loss(self, feats: DocFeatures, rows: np.ndarray | None = None,
                       dropout: DropoutState = _NO_DROPOUT) -> Tensor:

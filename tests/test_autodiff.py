@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from docrel import autodiff as ad
 from docrel.autodiff import Tape, Tensor, backward, check_gradients
 from docrel.errors import ContractError, NotFoundError, ShapeError
+from docrel.reasoning import chain_attention, chain_candidates
 
 
 def leaf(values):
@@ -226,6 +227,38 @@ def test_broadcast_add_gradient_reduces():
     np.testing.assert_allclose(m.grad, np.ones((3, 2)))
 
 
+def pieces(x, *shapes):
+    """Consecutive pieces of the flat leaf x, one per shape, so one leaf feeds every input."""
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(ad.reshape(ad.narrow(x, start, start + size), shape))
+        start += size
+    return out
+
+
+PAIRS = (np.array([0, 0, 1, 2]), np.array([1, 2, 2, 0]))  # heads, tails over 3 entities
+PAIR_ROWS = np.array([0, 2, 3, 5])                         # among 6 rows; 1 and 4 are plain
+
+
+def pair_linear_sentences(x):
+    entities, alpha, sentences, w, plain = pieces(x, (3, 2), (4, 3), (3, 2), (2, 6), (6, 6))
+    out = ad.pair_linear(entities, *PAIRS, (alpha, sentences), w, plain=plain, rows=PAIR_ROWS)
+    return ad.tsum(ad.mul(out, ad.constant(np.arange(12.0).reshape(6, 2))))
+
+
+def pair_linear_plain(x):
+    entities, w, plain = pieces(x, (3, 2), (2, 6), (6, 6))
+    out = ad.pair_linear(entities, *PAIRS, None, w, plain=plain, rows=PAIR_ROWS)
+    return ad.tsum(ad.mul(out, ad.constant(np.arange(12.0).reshape(6, 2))))
+
+
+def chain_attention_values(x):
+    queries, reps, values = pieces(x, (4, 3), (4, 3), (4, 2))
+    out, _ = chain_attention(queries, reps, chain_candidates(*PAIRS), values)
+    return ad.tsum(ad.mul(out, ad.constant(np.arange(8.0).reshape(4, 2))))
+
+
 # every primitive's Jacobian agrees with central differences
 @pytest.mark.parametrize("name,fn,shape", [
     ("add", lambda x: ad.tsum(ad.add(x, 0.5)), (4,)),
@@ -253,6 +286,9 @@ def test_broadcast_add_gradient_reduces():
     ("log", lambda x: ad.tsum(ad.log(ad.add(ad.mul(x, x), 1.0))), (4,)),
     ("relu", lambda x: ad.tsum(ad.relu(x)), (6,)),
     ("clip", lambda x: ad.tsum(ad.clip(x, -0.5, 0.5)), (5,)),
+    ("pair_linear_sentences", pair_linear_sentences, (72,)),
+    ("pair_linear_plain", pair_linear_plain, (54,)),
+    ("chain_attention_values", chain_attention_values, (32,)),
 ])
 def test_primitive_jacobians_match_finite_differences(name, fn, shape):
     rng = np.random.default_rng(hash(name) % (2 ** 32))

@@ -8,7 +8,7 @@ import pytest
 from docrel import autodiff as ad
 from docrel.autodiff import Tensor
 from docrel.corpus import Document, Entity, Mention, build_vocabulary
-from docrel.errors import NotFoundError, ShapeError
+from docrel.errors import ContractError, NotFoundError, ShapeError
 from docrel.graph import EdgeKind, build_mention_graph
 from docrel.inter import (RgcnParams, aggregation_matrices, evidence_weights, inter_pair_rep,
                           node_final_rep, propagate, rgcn_layer)
@@ -357,3 +357,124 @@ def test_pair_linear_rejects_bad_shapes_and_ids():
         ad.pair_linear(entities, ids, ids[:1], None, Tensor(np.zeros((4, 4))))
     with pytest.raises(NotFoundError):
         ad.pair_linear(entities, np.array([0, 3]), ids, None, Tensor(np.zeros((4, 4))))
+
+
+def widened_inputs(rng, context_kind, n_plain, n_entities=4, d=3, out=5, size=7, n_sentences=3):
+    """pair_linear arguments for `size` pair rows among size + n_plain rows, with a
+    context of rows ("rows"), of sentence weights ("sentences") or none (None),
+    and their leaves. Without plain rows, plain and rows are None."""
+    heads, tails = sampled_pairs(rng, n_entities, size)
+    entities = Tensor(rng.normal(size=(n_entities, d)), requires_grad=True)
+    leaves = [entities]
+    context = None
+    if context_kind == "rows":
+        context = Tensor(rng.normal(size=(size, d)), requires_grad=True)
+        leaves.append(context)
+    elif context_kind == "sentences":
+        weights = rng.random((size, n_sentences))
+        context = (Tensor(weights / weights.sum(axis=1, keepdims=True), requires_grad=True),
+                   Tensor(rng.normal(size=(n_sentences, d)), requires_grad=True))
+        leaves.extend(context)
+    w = Tensor(rng.normal(size=(out, 3 * d)), requires_grad=True)
+    leaves.append(w)
+    plain = rows = None
+    if n_plain:
+        n = size + n_plain
+        rows = np.sort(rng.permutation(n)[:size])
+        plain = Tensor(rng.normal(size=(n, 3 * d)), requires_grad=True)
+        leaves.append(plain)
+    return (entities, heads, tails, context, w, plain, rows), leaves
+
+
+def dense_widened(entities, heads, tails, context, w, plain, rows):
+    """The widened pair_linear by rows: concatenated pair rows, zeros for a missing
+    context, and the plain rows through linear, placed by place_rows."""
+    if isinstance(context, tuple):
+        context = ad.matmul(*context)
+    elif context is None:
+        context = ad.constant(np.zeros((len(heads), w.shape[1] - 2 * entities.shape[1])))
+    pairs = dense_pair_linear(entities, heads, tails, context, w)
+    if plain is None:
+        return pairs
+    other = np.setdiff1d(np.arange(plain.shape[0]), rows)
+    return ad.place_rows([pairs, ad.linear(ad.take_rows(plain, other), w)], [rows, other])
+
+
+WIDENED = [("sentences", 0), ("sentences", 3), ("rows", 3), (None, 3)]
+
+
+@pytest.mark.parametrize("context_kind,n_plain", WIDENED,
+                         ids=[f"{k}-{n}plain" for k, n in WIDENED])
+def test_widened_pair_linear_finite_differences(context_kind, n_plain):
+    rng = np.random.default_rng(24)
+    args, leaves = widened_inputs(rng, context_kind, n_plain)
+    weights = ad.constant(rng.normal(size=(len(args[1]) + n_plain, args[4].shape[0])))
+    err, checked, skipped = ad.check_gradients(
+        lambda: ad.tsum(ad.mul(ad.pair_linear(*args[:5], plain=args[5], rows=args[6]),
+                               weights)), leaves)
+    assert checked == sum(t.size for t in leaves) and skipped == 0
+    assert err < 1e-6, err
+
+
+@pytest.mark.parametrize("context_kind,n_plain", WIDENED,
+                         ids=[f"{k}-{n}plain" for k, n in WIDENED])
+def test_widened_pair_linear_equals_dense_rows(context_kind, n_plain):
+    rng = np.random.default_rng(25)
+    for n_entities, size in ((2, 2), (5, 20), (6, 11)):
+        args, leaves = widened_inputs(rng, context_kind, n_plain, n_entities=n_entities,
+                                      d=4, out=6, size=size, n_sentences=5)
+        weights = ad.constant(rng.normal(size=(size + n_plain, 6)))
+        got, grads = values_and_gradients(
+            lambda: ad.pair_linear(*args[:5], plain=args[5], rows=args[6]), leaves, weights)
+        want, grads_d = values_and_gradients(lambda: dense_widened(*args), leaves, weights)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_d):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_widened_pair_linear_rejects_bad_rows_and_widths():
+    rng = np.random.default_rng(26)
+    (entities, heads, tails, context, w, plain, rows), _ = widened_inputs(rng, "sentences", 3)
+    with pytest.raises(ContractError):
+        ad.pair_linear(entities, heads, tails, context, w, plain=plain, rows=np.zeros_like(rows))
+    with pytest.raises(ContractError):
+        ad.pair_linear(entities, heads, tails, context, w, plain=plain, rows=rows + 3)
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, heads, tails, context, w, plain=Tensor(plain.data[:, 1:]),
+                       rows=rows)
+    alpha, sentences = context
+    with pytest.raises(ShapeError):
+        ad.pair_linear(entities, heads, tails, (alpha, Tensor(sentences.data[1:])), w)
+
+
+def node_loop_aggregation(g):
+    """The per-node loop that `aggregation_matrices` replaced."""
+    n = g.n_nodes
+    out = {}
+    for kind in EdgeKind:
+        adj = g.adjacency(kind)
+        A = np.zeros((n, n))
+        for u in range(n):
+            c = max(1, len(adj[u]))
+            A[u, adj[u]] = 1.0 / c
+            A[u, u] += 1.0 / c
+        out[kind] = A
+    return out
+
+
+def test_aggregation_matrices_equal_the_node_loop_bitwise():
+    docs = [Document("n", [["a", "b", "c"]],
+                     [Entity(i, "T", [Mention(0, i, i + 1, w)]) for i, w in enumerate("abc")],
+                     []),
+            Document("lone", [["a"]], [Entity(0, "T", [Mention(0, 0, 1, "a")])], [])]
+    for seed, max_mentions in ((0, 6), (3, 6), (4, 8)):
+        rng = np.random.default_rng(seed)
+        docs += [random_document(rng, max_sentences=3, max_entities=4, max_mentions=max_mentions)
+                 for _ in range(5)]
+    for doc in docs:
+        g = build_mention_graph(doc)
+        got, want = aggregation_matrices(g), node_loop_aggregation(g)
+        assert list(got) == list(want)
+        for kind in EdgeKind:
+            assert got[kind].dtype == want[kind].dtype and got[kind].shape == want[kind].shape
+            assert got[kind].tobytes() == want[kind].tobytes(), (doc.title, kind)

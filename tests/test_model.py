@@ -5,7 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from docrel.autodiff import Tape, Tensor
+from docrel import autodiff as ad
+from docrel import model as model_mod
+from docrel.autodiff import Tape, Tensor, backward
 from docrel.config import TrainingConfig
 from docrel.corpus import Document, PairKind, RelationFact, build_vocabulary
 from docrel.errors import ContractError, ShapeError, ValidationError
@@ -303,3 +305,67 @@ def test_forward_on_another_thread_stays_off_an_open_tape(small_world):
         assert not worker.is_alive()
         assert len(tape) == recorded and loss.tape is tape
     assert len(seen) == 1 and seen[0].tape is None
+
+
+FACTORED_CONFIGS = {
+    "one_layer": {},
+    "two_layers": {"reasoning_layers": 2},
+    "no_reasoning": {"no_reasoning": True},
+    "no_context": {"no_context": True},
+    "inter4intra": {"inter4intra": True},
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORED_CONFIGS))
+def test_factored_classifier_matches_the_classifier_on_reps_post(small_world, monkeypatch,
+                                                                 name):
+    """The forward mixes W2 products through the last reasoning layer and never forms
+    reps_post; the classifier on the reps_post it reports gives the same probabilities."""
+    docs, vocab = small_world
+    model = RelationModel(toy_config(**FACTORED_CONFIGS[name]), vocab)
+    widths = []
+    update = model_mod.reasoning_update
+
+    def recording(*args):
+        result = update(*args)
+        widths.append(result[0].shape[1])
+        return result
+
+    monkeypatch.setattr(model_mod, "reasoning_update", recording)
+    rep_width, hidden = 3 * model.config.model_width, model.config.classifier_width
+    for doc in docs:
+        feats = prepare_document(doc, vocab)
+        for rows in (None, np.arange(0, len(feats.pairs), 2)):
+            widths.clear()
+            out = model.forward(feats, rows)
+            # every layer but the last mixes 3d-wide rows; the last mixes W2 products
+            layers = 0 if model.config.no_reasoning else model.config.reasoning_layers
+            assert widths == [rep_width] * (layers - 1) + [hidden] * (layers > 0)
+            assert out.reps_post.shape == out.pool_input.shape == (len(out.rows), rep_width)
+            want = relation_probabilities(out.reps_post, model.classifier).data
+            np.testing.assert_allclose(out.probs.data, want, rtol=0, atol=1e-12)
+
+
+def test_one_gradient_contribution_to_each_pair_row_weight(small_world, monkeypatch):
+    """Over a pool of intra and inter rows, one backward writes reason.att's and
+    cls.w2's gradient once each, never a second full-size array added to the first."""
+    docs, vocab = small_world
+    model = RelationModel(toy_config(), vocab)
+    feats = prepare_document(docs[0], vocab)
+    assert {p.kind for p in feats.pairs} == {PairKind.INTRA, PairKind.INTER}
+    watched = {id(model.w_att.tensor): "reason.att", id(model.classifier.w2.tensor): "cls.w2"}
+    seen = []
+    accum, adopt = ad._accum, ad._adopt
+
+    def count(original):
+        def wrapper(t, g):
+            if id(t) in watched:
+                seen.append(watched[id(t)])
+            return original(t, g)
+        return wrapper
+
+    monkeypatch.setattr(ad, "_accum", count(accum))
+    monkeypatch.setattr(ad, "_adopt", count(adopt))
+    with Tape():
+        backward(model.document_loss(feats))
+    assert sorted(seen) == ["cls.w2", "reason.att"]

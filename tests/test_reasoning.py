@@ -11,7 +11,8 @@ import pair_oracle
 from docrel import autodiff as ad
 from docrel.autodiff import Tape, Tensor, backward, check_gradients
 from docrel.errors import ShapeError
-from docrel.reasoning import EntityRows, chain_attention, chain_candidates, reasoning_update
+from docrel.reasoning import (EntityRows, chain_attention, chain_candidates, reasoning_update,
+                              row_products)
 
 
 def pairs_over(n):
@@ -385,3 +386,104 @@ def test_float32_chain_attention_stays_float32(monkeypatch):
     for a, b in zip(got, want):
         assert a.dtype == np.float32
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("name,pairs", ragged_cases(), ids=[c[0] for c in ragged_cases()])
+def test_chain_attention_with_values_finite_differences(name, pairs):
+    rng = np.random.default_rng(18)
+    groups = groups_of(pairs)
+    queries = Tensor(rng.normal(size=(len(pairs), 5)), requires_grad=True)
+    reps = Tensor(rng.normal(size=(len(pairs), 5)), requires_grad=True)
+    values = Tensor(rng.normal(size=(len(pairs), 3)), requires_grad=True)
+    weights = ad.constant(rng.normal(size=(len(pairs), 3)))
+    leaves = [queries, reps, values]
+    err, checked, skipped = check_gradients(
+        lambda: ad.tsum(ad.mul(chain_attention(queries, reps, groups, values)[0], weights)),
+        leaves)
+    assert checked == sum(t.size for t in leaves) and skipped == 0
+    assert err < 1e-6, err
+
+
+def test_chain_attention_values_mix_with_the_reps_gamma():
+    rng = np.random.default_rng(19)
+    pairs = random_subset(rng, 6)
+    groups = groups_of(pairs)
+    q, r = (Tensor(rng.normal(size=(len(pairs), 4))) for _ in range(2))
+    v = rng.normal(size=(len(pairs), 7))
+    out, gamma = chain_attention(q, r, groups, Tensor(v))
+    _, gamma_r = chain_attention(q, r, groups)
+    np.testing.assert_array_equal(gamma, gamma_r)
+    np.testing.assert_allclose(out.data, pair_oracle.dense_gamma(groups, gamma) @ v,
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        chain_attention(q, r, groups, Tensor(v[1:]))
+
+
+class SentencePool(EntityPool):
+    """An EntityPool whose inter rows' context is alpha @ sentences."""
+
+    def __init__(self, rng, pairs, d, share, n_sentences=3):
+        super().__init__(rng, pairs, d, share, with_context=False)
+        weights = rng.random((len(self.inter), n_sentences))
+        self.alpha = Tensor(weights / weights.sum(axis=1, keepdims=True), requires_grad=True)
+        self.sentences = Tensor(rng.normal(size=(n_sentences, d)), requires_grad=True)
+        self.leaves += [self.alpha, self.sentences]
+
+    def reps(self) -> Tensor:
+        self.context = ad.matmul(self.alpha, self.sentences)
+        return super().reps()
+
+    def entity_rows(self) -> EntityRows:
+        return EntityRows(self.inter, self.entities, self.heads, self.tails,
+                          (self.alpha, self.sentences))
+
+
+def factored_last_layer(pool, groups, w, w2):
+    """The model's last layer: queries and values formed per entity and per sentence,
+    and the hidden-wide values mixed by the chain attention over the 3d-wide rows."""
+    reps, rows = pool.reps(), pool.entity_rows()
+    return reasoning_update(reps, groups, w, rows, row_products(reps, w2, rows))[0]
+
+
+def dense_last_layer(pool, groups, w, w2):
+    """The same as a dense update of the whole rows, then the classifier's product."""
+    return ad.linear(reasoning_update(pool.reps(), groups, w)[0], w2)
+
+
+@pytest.mark.parametrize("share", [0.4, 1.0])
+def test_factored_values_match_the_dense_update(share):
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        pairs = random_subset(rng, int(rng.integers(2, 7)))
+        pool = SentencePool(rng, pairs, 3, share)
+        w = Tensor(rng.normal(size=(9, 9)) * 0.5, requires_grad=True)
+        w2 = Tensor(rng.normal(size=(4, 9)), requires_grad=True)
+        weights = ad.constant(rng.normal(size=(len(pairs), 4)))
+        groups = groups_of(pairs)
+        leaves = pool.leaves + [w, w2]
+
+        def run(layer):
+            _, grads = gradients_of(
+                lambda: ad.tsum(ad.mul(layer(pool, groups, w, w2), weights)), leaves)
+            return layer(pool, groups, w, w2).data, grads
+
+        out, grads = run(factored_last_layer)
+        out_d, grads_d = run(dense_last_layer)
+        np.testing.assert_allclose(out, out_d, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_d):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_factored_values_finite_differences():
+    rng = np.random.default_rng(21)
+    pairs = ragged_cases()[0][1]
+    pool = SentencePool(rng, pairs, 2, 0.5)
+    w = Tensor(rng.normal(size=(6, 6)) * 0.5, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    weights = ad.constant(rng.normal(size=(len(pairs), 3)))
+    groups = groups_of(pairs)
+    leaves = pool.leaves + [w, w2]
+    err, checked, skipped = check_gradients(
+        lambda: ad.tsum(ad.mul(factored_last_layer(pool, groups, w, w2), weights)), leaves)
+    assert checked == sum(t.size for t in leaves) and skipped == 0
+    assert err < 1e-6, err
